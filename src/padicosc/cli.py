@@ -38,7 +38,7 @@ from .operators import (
     kernel_solve,
 )
 from .galois import Branch, orbit
-from .zeta import ZetaBranchEval, zeta_interp, zeta_measure
+from .zeta import ZetaBranchEval, _torsion_order, zeta_interp, zeta_measure
 from .sampling import random_mahler_series
 from .serialization import (
     dumps,
@@ -358,7 +358,7 @@ def _cmd_zeta_measure(ns, cfg: RunConfig) -> Tuple[dict, str]:
 
 def _cmd_zeta_table(ns, cfg: RunConfig) -> Tuple[dict, str]:
     branch = Branch(cfg.prime, cfg.kappa0)
-    torsion = 2 if cfg.prime == 2 else cfg.prime - 1
+    torsion = _torsion_order(cfg.prime)
     rows = []
     for k in range(1, ns.kmax + 1):
         if (k - cfg.kappa0) % torsion:

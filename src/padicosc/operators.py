@@ -1,61 +1,74 @@
 """Creation/annihilation operators on truncated Mahler coefficients.
 
-The raising operator sends P_n to (n+1) P_{n+1}, the lowering operator
-sends P_n to P_{n-1} (and kills P_0), and H = a+ a- is diagonal with
-eigenvalue n on P_n.  On a truncation window of length M the raising
-operator pushes mass out at the top: the coefficient M * c_{M-1} that
-would land at index M is folded into the tail bound instead of being
-dropped silently.  The commutation identity [a-, a+] = 1 therefore holds
-on indices 0..M-2 by contract, with index M-1 a truncation artifact.
+Each operator is one (shift, weight) rule: it sends P_n to weight(n)
+P_{n+shift}.  Raising is (+1, n+1), lowering (-1, 1), killing P_0, and
+H = a+ a- is (0, n).  The series form (apply_*) and the matrix form
+(as_matrix) both derive from the rule.  On a truncation window of
+length M the series form loses nothing silently: a coefficient pushed
+past index M-1 is folded into the tail bound, and a slot pulled from
+index M comes back as a zero marker at the tail exponent.  The
+commutation identity [a-, a+] = 1 therefore holds on indices 0..M-2 by
+contract, with index M-1 a truncation artifact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import PadicNumber, vp
 from .series import MahlerSeries, _min_exponent
 
-OPERATOR_NAMES = ("raising", "lowering", "hamiltonian")
+# operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
+RULES = {
+    "raising": (1, lambda n: n + 1),
+    "lowering": (-1, lambda n: 1),
+    "hamiltonian": (0, lambda n: n),
+}
+OPERATOR_NAMES = tuple(RULES)
 
 
-def apply_raising(f: MahlerSeries) -> MahlerSeries:
-    """(a+ f)(x) = x f(x-1); coefficients shift up with weight n+1."""
+def _apply_rule(op: str, f: MahlerSeries) -> MahlerSeries:
+    """The series form of the named operator's (shift, weight) rule."""
+    shift, weight = RULES[op]
     p = f.prime
     m = f.truncation
-    if m == 0:
-        return f
-    coeffs = [PadicNumber.zero(p)]
-    for n in range(m - 1):
-        coeffs.append(f.coefficients[n] * (n + 1))
-    top = f.coefficients[m - 1]
-    spill = top.norm_bound_exponent()
-    if spill is not None:
-        spill += vp(m, p)
-    tail = _min_exponent(f.tail_bound_exponent, spill)
+    coeffs = []
+    for i in range(m):
+        n = i - shift
+        if n < 0:
+            coeffs.append(PadicNumber.zero(p))
+        elif n >= m:
+            # pulled from index M: c_M is known only through the tail
+            coeffs.append(PadicNumber.zero(p, known_to=f.tail_bound_exponent))
+        else:
+            w = weight(n)
+            c = f.coefficients[n]
+            coeffs.append(c if w == 1 else c * w)
+    tail = f.tail_bound_exponent
+    for n in range(m - shift, m):     # pushed past index M-1
+        spill = f.coefficients[n].norm_bound_exponent()
+        if spill is not None:
+            spill += vp(weight(n), p)
+        tail = _min_exponent(tail, spill)
     return MahlerSeries(prime=p, coefficients=tuple(coeffs),
                         tail_bound_exponent=tail)
 
 
-def apply_lowering(f: MahlerSeries) -> MahlerSeries:
-    """(a- f)(x) = f(x+1) - f(x); coefficients shift down one slot.
+def apply_raising(f: MahlerSeries) -> MahlerSeries:
+    """(a+ f)(x) = x f(x-1)."""
+    return _apply_rule("raising", f)
 
-    The new top coefficient is the unstored c_M, known only through the
-    tail bound, so it comes back as a zero marker at that exponent.
-    """
-    p = f.prime
-    coeffs = list(f.coefficients[1:])
-    coeffs.append(PadicNumber.zero(p, known_to=f.tail_bound_exponent))
-    return MahlerSeries(prime=p, coefficients=tuple(coeffs),
-                        tail_bound_exponent=f.tail_bound_exponent)
+
+def apply_lowering(f: MahlerSeries) -> MahlerSeries:
+    """(a- f)(x) = f(x+1) - f(x)."""
+    return _apply_rule("lowering", f)
 
 
 def hamiltonian(f: MahlerSeries) -> MahlerSeries:
-    """H = a+ a-, diagonal: coefficient rule c_n -> n c_n."""
-    coeffs = tuple(c * n for n, c in enumerate(f.coefficients))
-    return replace(f, coefficients=coeffs)
+    """H = a+ a-, diagonal with eigenvalue n on P_n."""
+    return _apply_rule("hamiltonian", f)
 
 
 def commutator_defect(f: MahlerSeries) -> MahlerSeries:
@@ -103,12 +116,6 @@ class OperatorMatrix:
     def to_dict(self) -> Dict[Tuple[int, int], PadicNumber]:
         return {(i, j): v for i, j, v in self.entries}
 
-    def entry(self, i: int, j: int) -> PadicNumber:
-        for a, b, v in self.entries:
-            if a == i and b == j:
-                return v
-        return PadicNumber.zero(self.prime)
-
     def is_zero_matrix(self) -> bool:
         return all(v.is_zero for _, _, v in self.entries)
 
@@ -118,18 +125,11 @@ def as_matrix(op: Union[str, Sequence[str]], dimension: int, p: int,
     """Matrix of a named operator, or of a composition given as a list
     (applied right to left, i.e. matrix product in list order)."""
     if isinstance(op, str):
-        if op not in OPERATOR_NAMES:
+        if op not in RULES:
             raise DomainError("unknown operator %r" % op)
-        entries: Dict[Tuple[int, int], PadicNumber] = {}
-        if op == "lowering":
-            for n in range(dimension - 1):
-                entries[(n, n + 1)] = PadicNumber.from_int(1, p, precision)
-        elif op == "raising":
-            for n in range(dimension - 1):
-                entries[(n + 1, n)] = PadicNumber.from_int(n + 1, p, precision)
-        else:
-            for n in range(1, dimension):
-                entries[(n, n)] = PadicNumber.from_int(n, p, precision)
+        shift, weight = RULES[op]
+        entries = {(n + shift, n): PadicNumber.from_int(weight(n), p, precision)
+                   for n in range(dimension) if 0 <= n + shift < dimension}
         return OperatorMatrix.from_dict(p, dimension, entries, precision)
     mats = [as_matrix(name, dimension, p, precision) for name in op]
     if not mats:
@@ -185,8 +185,12 @@ def mat_mul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def mat_apply(a: OperatorMatrix, f: MahlerSeries) -> MahlerSeries:
-    """Matrix action on the coefficient vector.  Agrees with the apply_*
-    functions on indices below M-1; the top row is the bare truncation."""
+    """Matrix action on the coefficient vector.
+
+    The matrix keeps only the rule's entries inside the window, so it
+    matches the apply_* functions except where they use the tail: a slot
+    pulled from index M stays exactly zero here, and the tail bound is
+    passed through without folding in what is pushed past index M-1."""
     if a.prime != f.prime or a.dimension != f.truncation:
         raise DomainError("matrix does not fit the series")
     p = a.prime

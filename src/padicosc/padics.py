@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DomainError, PadicError, PrecisionExhaustedError
 
 DEFAULT_PRECISION = 32
-
-ExactScalar = Union[int, Fraction]
 
 
 def vp(n: int, p: int) -> int:

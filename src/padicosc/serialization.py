@@ -226,11 +226,6 @@ def parse_samples_file(text: str) -> Tuple[int, List[PadicNumber]]:
     return p, values
 
 
-def write_text_file(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def read_text_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:

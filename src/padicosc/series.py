@@ -90,12 +90,6 @@ class VanDerPutSeries(_SeriesBase):
     """f(x) = sum v_n e_n(x), e_n the indicator of the disc around n."""
 
 
-def constant_series(value: PadicNumber, truncation: int = 1) -> MahlerSeries:
-    p = value.prime
-    pad = tuple(PadicNumber.zero(p) for _ in range(truncation - 1))
-    return MahlerSeries(prime=p, coefficients=(value,) + pad)
-
-
 def basis_vector(p: int, n: int, truncation: int, precision: int) -> MahlerSeries:
     """The Mahler basis element P_n as a truncated series."""
     if n >= truncation:

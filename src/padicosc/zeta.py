@@ -6,19 +6,8 @@ branch-matched k.  The measure route Riemann-sums the integrand
 <x>^(-s) w(x)^(kappa0 - 1) over the units mod p^N against a regularized
 Bernoulli measure, then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
-Normalization: with the prefactor written that way, the matching
-regularization of the first Bernoulli distribution is by the inverse
-unit 1/r.  Its value on a disc a + p^N Z_p is
-
-    B1(a/p^N) - r * B1(((a/r) mod p^N)/p^N)
-      = r*floor(R a / p^N) - ((rR-1)/p^N)*a + (r-1)/2,
-
-with B1(x) = x - 1/2 and R the integer inverse of r mod p^N, an element
-of (1/2) Z_p computable in plain integers.  Regularizing by r itself
-(the form measure_value exposes) pairs with the reciprocal prefactor
-and would land on r^(-k) times the interpolated value; the
-interpolation identity is the arbiter for this convention and the
-agreement is re-checked across every branch in the test grid.
+The unit sum runs over plain integers and sums against E_{1,r}, which is
+measure_value at the integer regulator r^-1 mod p^(digits + level).
 """
 
 from __future__ import annotations
@@ -102,9 +91,6 @@ class MazurMeasure:
         vals = tuple(measure_value(a, level, regulator, p, precision)
                      for a in range(p**level))
         return cls(prime=p, regulator=regulator, level=level, values=vals)
-
-    def value(self, a: int) -> PadicNumber:
-        return self.values[a]
 
     def refined_by(self, finer: "MazurMeasure") -> bool:
         """Distribution law: each disc value is the sum over its p
@@ -225,67 +211,37 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
     return unit_power(x / w, 1 - s, digits) * w**kappa0 - 1
 
 
-def _unit_sum_int(p: int, kappa0: int, exp_angle: int, regulator: int,
-                  level: int, digits: int) -> int:
-    """Integer kernel: sum over unit residues of
-    <a>^exp_angle w(a)^((kappa0-1) mod ord) mu(a), times 2 for odd p,
-    as a residue mod p^digits."""
+def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
+              level: int, digits: int) -> int:
+    """Sum over the units a mod p^level of <a>^exponent w(a)^(kappa0-1)
+    E_{1,r}(a + p^level Z_p), as a residue mod p^digits.
+
+    The units split into classes c with a fixed Teichmuller value w(c):
+    c mod p, or c in {1, 3} mod 4 with w(c) = +-1 when p = 2.  The disc
+    value r*floor(R a/q) - slope*a + (r-1)/2, with q = p^level,
+    R = r^-1 mod q and slope = (rR - 1)/q, is an integer mod p^digits.
+    """
     q = p**level
     mod = p**digits
     rinv = pow(regulator, -1, q)
     slope = (regulator * rinv - 1) // q
+    # (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
+    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
     if p == 2:
-        half = (regulator - 1) // 2
-        neg_pow = (mod - 1) if (kappa0 - 1) % 2 else 1
-        acc = 0
-        for a in range(1, q, 2):
-            if a % 4 == 1:
-                angle, wp = a, 1
-            else:
-                angle, wp = (-a) % mod, neg_pow
-            g = pow(angle, exp_angle, mod) * wp % mod
-            mu = regulator * (rinv * a // q) - slope * a + half
-            acc = (acc + g * mu) % mod
-        return acc
-    e_om = (kappa0 - 1) % (p - 1)
-    winv = [0] * p
-    wpow = [0] * p
-    for c in range(1, p):
-        w = _teichmuller_residue(p, c, digits)
-        winv[c] = pow(w, -1, mod)
-        wpow[c] = pow(w, e_om, mod)
-    two_r = 2 * regulator
-    two_slope = 2 * slope
-    shift = regulator - 1
-    acc = 0
-    for base in range(0, q, p):
-        for c in range(1, p):
-            a = base + c
-            angle = a * winv[c] % mod
-            g = pow(angle, exp_angle, mod) * wpow[c] % mod
-            mu2 = two_r * (rinv * a // q) - two_slope * a + shift
-            acc = (acc + g * mu2) % mod
-    return acc * pow(2, -1, mod) % mod
-
-
-def _unit_sum_generic(p: int, kappa0: int, s, regulator: int, level: int,
-                      digits: int) -> PadicNumber:
-    """Same sum through the PadicNumber API, for arbitrary s in Z_p."""
-    q = p**level
-    rinv = pow(regulator, -1, q)
-    slope = (regulator * rinv - 1) // q
+        stride, classes = 4, ((1, 1), (3, mod - 1))
+    else:
+        stride = p
+        classes = [(c, _teichmuller_residue(p, c, digits)) for c in range(1, p)]
     e_om = (kappa0 - 1) % _torsion_order(p)
-    total = PadicNumber.zero(p)
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        x = PadicNumber.from_int(a, p, digits)
-        w = teichmuller(x)
-        g = unit_power(x / w, -s, digits) * w**e_om
-        mu2 = (2 * regulator * (rinv * a // q) - 2 * slope * a
-               + regulator - 1)
-        total = total + g * PadicNumber.from_rational(mu2, 2, p, digits)
-    return total
+    acc = 0
+    for c, w in classes:
+        winv = pow(w, -1, mod)
+        part = 0
+        for a in range(c, q, stride):
+            mu = regulator * (rinv * a // q) - slope * a + half
+            part += pow(a * winv % mod, exponent, mod) * mu
+        acc += part % mod * pow(w, e_om, mod)
+    return acc % mod
 
 
 def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
@@ -345,10 +301,13 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
         den = _prefactor_denominator(s, kappa0, r, p, digits)
 
     if isinstance(s, int):
-        acc = _unit_sum_int(p, kappa0, -s, r, level, digits)
-        integral = PadicNumber._make(p, 0, acc, digits)
+        exponent = -s
     else:
-        integral = _unit_sum_generic(p, kappa0, s, r, level, digits)
+        # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
+        # mod p^digits, so -s is needed only modulo that order
+        exponent = (-s).residue(digits - (2 if p == 2 else 1))
+    acc = _unit_sum(p, kappa0, exponent, r, level, digits)
+    integral = PadicNumber._make(p, 0, acc, digits)
     return ZetaBranchEval(prime=p, kappa0=kappa0, s=s, regulator=r,
                           level=level, value=integral / den,
                           error_bound_exponent=level - v_den, path="measure")

@@ -235,7 +235,7 @@ def test_matrix_action_matches_apply():
 def test_matrix_scale_and_mismatch():
     mat = as_matrix("raising", 4, 5, 8)
     doubled = mat_scale(PadicNumber.from_int(2, 5, 8), mat)
-    assert doubled.entry(2, 1).agrees_with(PadicNumber.from_int(4, 5, 8))
+    assert doubled.to_dict()[(2, 1)].agrees_with(PadicNumber.from_int(4, 5, 8))
     other = as_matrix("raising", 5, 5, 8)
     with pytest.raises(DomainError):
         mat_add(mat, other)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from padicosc.errors import DomainError, PoleError, PrecisionExhaustedError
-from padicosc.padics import PadicNumber, is_prime, teichmuller
+from padicosc.padics import PadicNumber, is_prime, teichmuller, unit_power
 from padicosc.galois import Branch
 from padicosc.zeta import (
     MazurMeasure,
@@ -280,19 +280,71 @@ def test_zeta_measure_generic_path_matches_fast_path():
     assert fast.error_bound_exponent == generic.error_bound_exponent
 
 
+# criterion 06's branches with their matched k, plus p = 2
+ORACLE_GRID = (
+    (2, 0, (2, 4, 6)),
+    (3, 0, (2, 4, 6, 8, 10, 12)),
+    (5, 0, (4, 8, 12)),
+    (5, 2, (2, 6, 10)),
+    (7, 0, (6, 12)),
+    (7, 2, (2, 8)),
+    (7, 4, (4, 10)),
+)
+ORACLE_REGULATORS = {2: (3, 5), 3: (2, 5), 5: (2, 3), 7: (3, 5)}
+# (p, kappa0, s = num/den)
+ORACLE_PADIC_S = ((2, 0, 2, 3), (5, 2, 13, 7), (7, 4, 10, 3))
+
+
+def _integral_by_hand(g, p, r, level, digits):
+    # the kernel's E_{1,r} is measure_value at the integer regulator
+    # r^-1 mod p^(digits + level), up to p^digits
+    rho = pow(r, -1, p ** (digits + level))
+    return integrate_units(g, level, rho, p, digits)
+
+
+def _assert_agree(by_hand, value, precision):
+    d = by_hand - value
+    assert d.is_zero and d.known_to >= precision
+
+
 def test_zeta_measure_via_public_integration():
-    # rebuild the integral through integrate_units with the inverse
-    # regulator embedded as an integer, then apply the prefactor by hand
-    p, k, level, digits = 5, 2, 3, 16
-    branch = Branch(p, 2)
-    r = 2
-    big = p**digits
-    r_inv = pow(r, -1, big)
-    g = lambda a: PadicNumber.from_int(a, p, digits) ** (k - 1)
-    integral = integrate_units(g, level, r_inv, p, digits)
-    by_hand = integral / PadicNumber.from_int(r**k - 1, p, digits)
-    ev = zeta_measure(1 - k, branch, regulator=r, level=level, precision=12)
-    assert (by_hand - ev.value).is_zero
+    # rebuild each integral through integrate_units, then apply the
+    # prefactor <r>^(1-s) w(r)^kappa0 - 1 by hand
+    digits, precision = 24, 12
+    for p, kappa0, ks in ORACLE_GRID:
+        branch = Branch(p, kappa0)
+        for r in ORACLE_REGULATORS[p]:
+            for level in (2, 3):
+                for k in ks:
+                    # at matched k the integrand is a^(k-1) and the
+                    # prefactor r^k - 1
+                    g = lambda a: PadicNumber.from_int(a, p, digits) ** (k - 1)
+                    integral = _integral_by_hand(g, p, r, level, digits)
+                    by_hand = integral / PadicNumber.from_int(r**k - 1, p, digits)
+                    ev = zeta_measure(1 - k, branch, regulator=r, level=level,
+                                      precision=precision)
+                    _assert_agree(by_hand, ev.value, precision)
+    for p, kappa0, num, den in ORACLE_PADIC_S:
+        branch = Branch(p, kappa0)
+        s = PadicNumber.from_rational(num, den, p, 40)
+
+        def split(a):
+            x = PadicNumber.from_int(a, p, digits)
+            w = teichmuller(x)
+            return x / w, w
+
+        def g(a):
+            angle, w = split(a)
+            return unit_power(angle, -s, digits) * w ** (kappa0 - 1)
+
+        for r in ORACLE_REGULATORS[p]:
+            angle, w = split(r)
+            prefactor = unit_power(angle, 1 - s, digits) * w**kappa0 - 1
+            for level in (2, 3):
+                integral = _integral_by_hand(g, p, r, level, digits)
+                ev = zeta_measure(s, branch, regulator=r, level=level,
+                                  precision=precision)
+                _assert_agree(integral / prefactor, ev.value, precision)
 
 
 def test_zeta_measure_gates():
