@@ -204,6 +204,26 @@ def test_zero_marker_semantics():
         x / z
     assert (z + x) == x
     assert (z * x).is_exact_zero
+    # arithmetic with a zero known mod 5^4; x = 7*5^2 + O(5^8)
+    z = PadicNumber.zero(p, known_to=4)
+    x = PadicNumber.from_int(175, p, 6)
+
+    def marker(k):
+        return PadicNumber.zero(p, known_to=k)
+
+    assert z * x == x * z == marker(6)
+    assert z * 10 == marker(5)
+    assert z * Fraction(1, 5) == marker(3)
+    assert z / x == z / 25 == marker(2)
+    assert z**3 == marker(12)
+    assert z + marker(2) == marker(2)
+    assert z + x == x - z == PadicNumber.from_int(175, p, 2)
+    assert z + 3 == PadicNumber.from_int(3, p, 4)
+    assert z.truncated_to(2) == marker(2)
+    assert z.truncated_to(9) == -z == z
+    for consume in (lambda: x / z, lambda: 3 / z, lambda: z**-1):
+        with pytest.raises(PrecisionExhaustedError):
+            consume()
 
 
 def test_full_cancellation_known_to_matches_abs_precision():
