@@ -271,13 +271,15 @@ def test_zeta_measure_denominator_consumes_budget():
         zeta_measure(1 - k, Branch(3, 0), level=3, precision=4)
 
 
-def test_zeta_measure_generic_path_matches_fast_path():
-    branch = Branch(5, 2)
-    fast = zeta_measure(-1, branch, level=3, precision=10)
-    s = PadicNumber.from_int(-1, 5, 30)
-    generic = zeta_measure(s, branch, level=3, precision=10)
-    assert (fast.value - generic.value).is_zero
-    assert fast.error_bound_exponent == generic.error_bound_exponent
+@pytest.mark.parametrize("p,kappa0,k,level", [
+    (5, 2, 2, 3), (2, 0, 2, 5), (7, 4, 4, 3)])
+def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
+    branch = Branch(p, kappa0)
+    as_int = zeta_measure(1 - k, branch, level=level, precision=10)
+    s = PadicNumber.from_int(1 - k, p, 30)
+    as_padic = zeta_measure(s, branch, level=level, precision=10)
+    assert (as_int.value - as_padic.value).is_zero
+    assert as_int.error_bound_exponent == as_padic.error_bound_exponent
 
 
 # criterion 06's branches with their matched k, plus p = 2
