@@ -218,6 +218,10 @@ def kernel_solve(a: OperatorMatrix) -> List[MahlerSeries]:
     valuation), ties broken by lowest row index; unit pivots lose no
     precision.  An entry about which nothing is known (a zero marker
     with no vanishing digits) makes the rank undecidable.
+
+    The kernel is that of the truncated matrix.  For raising it is
+    spanned by P_{M-1} only because the window drops the image of the
+    top column; a+ itself is injective.
     """
     p = a.prime
     m = a.dimension
@@ -234,7 +238,7 @@ def kernel_solve(a: OperatorMatrix) -> List[MahlerSeries]:
                 continue
             e = rows[r][col]
             if e.is_zero:
-                if not e.is_exact_zero and e.known_to is not None and e.known_to <= 0:
+                if not e.is_exact_zero and e.known_to <= 0:
                     raise PrecisionExhaustedError(
                         "rank undecidable: entry (%d, %d) has no known digits"
                         % (r, col))

@@ -3,10 +3,13 @@
 A nonzero value is stored as unit * p**valuation with the unit known
 modulo p**precision, so the value itself is determined modulo
 p**(valuation + precision) and the absolute value |x|_p = p**(-valuation)
-is exact.  Zero is a distinguished marker: known_to=None means the exact
-zero, otherwise the value is only known to vanish modulo p**known_to, and
-operations that must distinguish it from a small nonzero number raise
-PrecisionExhaustedError instead of guessing.
+is exact.  Zero is a distinguished marker with unit 0 and precision 0.
+known_to=None means the exact zero (valuation 0); otherwise the value is
+only known to vanish modulo p**known_to, and valuation = known_to, so
+the marker is O(p**k) with no known digits and each operator's general
+formula already gives the right known_to for it.  Operations that must
+distinguish it from a small nonzero number raise PrecisionExhaustedError
+instead of guessing.
 
 Also provided: Hensel digit expansions, the Teichmuller character and the
 angle projection x/omega(x), and powers of principal units via the
@@ -81,35 +84,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HenselDigits:
-    """Little-endian base-p digits; empty tuple represents 0."""
-
-    prime: int
-    digits: tuple
-
-    def to_int(self) -> int:
-        n = 0
-        for d in reversed(self.digits):
-            n = n * self.prime + d
-        return n
-
-
-def hensel_digits(n: int, p: int) -> HenselDigits:
+def hensel_digits(n: int, p: int) -> tuple:
+    """Little-endian base-p digits of n >= 0; the empty tuple for 0."""
     if n < 0:
         raise DomainError("hensel_digits needs n >= 0")
     ds = []
     while n:
         ds.append(n % p)
         n //= p
-    return HenselDigits(prime=p, digits=tuple(ds))
+    return tuple(ds)
 
 
 def n_minus(n: int, p: int) -> int:
     """Strip the leading (highest-index) base-p digit of n >= 1."""
     if n < 1:
         raise DomainError("n_minus needs n >= 1")
-    ds = hensel_digits(n, p).digits
+    ds = hensel_digits(n, p)
     s = len(ds) - 1
     return n - ds[s] * p**s
 
@@ -119,9 +109,9 @@ class PadicNumber:
     """Element of Q_p known to finite precision.
 
     Nonzero: unit in [1, p**precision) coprime to p, value known modulo
-    p**(valuation + precision).  Zero marker: unit = 0, precision = 0,
-    valuation = 0; known_to is the exponent up to which the value is
-    known to vanish (None for the exact zero).
+    p**(valuation + precision).  Zero marker: unit = 0, precision = 0;
+    known_to is the exponent up to which the value is known to vanish
+    and valuation equals it (None and valuation 0 for the exact zero).
     """
 
     prime: int
@@ -134,7 +124,9 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, p: int, known_to: Optional[int] = None) -> "PadicNumber":
-        return cls(prime=p, valuation=0, unit=0, precision=0, known_to=known_to)
+        valuation = 0 if known_to is None else known_to
+        return cls(prime=p, valuation=valuation, unit=0, precision=0,
+                   known_to=known_to)
 
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -195,14 +187,10 @@ class PadicNumber:
         return self.unit == 0 and self.known_to is None
 
     @property
-    def is_unit(self) -> bool:
-        return self.unit != 0 and self.valuation == 0
-
-    @property
     def abs_precision(self) -> Optional[int]:
         """Exponent N such that the value is known modulo p**N (None = exact)."""
-        if self.is_zero:
-            return self.known_to
+        if self.is_exact_zero:
+            return None
         return self.valuation + self.precision
 
     def norm(self) -> Fraction:
@@ -220,15 +208,11 @@ class PadicNumber:
         """e with |x|_p <= p**(-e); None means |x|_p = 0."""
         if self.is_exact_zero:
             return None
-        if self.is_zero:
-            return self.known_to
         return self.valuation
 
     def digits(self) -> tuple:
         """Little-endian digits of the unit part, one per known digit."""
-        if self.is_zero:
-            return ()
-        ds = hensel_digits(self.unit, self.prime).digits
+        ds = hensel_digits(self.unit, self.prime)
         return ds + (0,) * (self.precision - len(ds))
 
     def residue(self, n: int) -> int:
@@ -253,8 +237,6 @@ class PadicNumber:
 
     def to_fraction(self) -> Fraction:
         """The representative unit * p**valuation as an exact rational."""
-        if self.is_zero:
-            return Fraction(0)
         v = self.valuation
         if v >= 0:
             return Fraction(self.unit * self.prime**v)
@@ -262,11 +244,7 @@ class PadicNumber:
 
     def truncated_to(self, absprec: int) -> "PadicNumber":
         """Forget digits beyond p**absprec."""
-        if self.is_zero:
-            if self.known_to is None:
-                return PadicNumber.zero(self.prime, known_to=absprec)
-            return PadicNumber.zero(self.prime, known_to=min(self.known_to, absprec))
-        if absprec >= self.abs_precision:
+        if not self.is_exact_zero and absprec >= self.abs_precision:
             return self
         return PadicNumber._make(self.prime, self.valuation, self.unit,
                                  absprec - self.valuation)
@@ -307,10 +285,6 @@ class PadicNumber:
         if other.is_exact_zero:
             return self
         n = min(self.abs_precision, other.abs_precision)
-        if self.is_zero:
-            return other.truncated_to(n)
-        if other.is_zero:
-            return self.truncated_to(n)
         vmin = min(self.valuation, other.valuation)
         m = n - vmin
         if m <= 0:
@@ -355,10 +329,6 @@ class PadicNumber:
         p = self.prime
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNumber.zero(p)
-        if self.is_zero or other.is_zero:
-            ka = self.known_to if self.is_zero else self.valuation
-            kb = other.known_to if other.is_zero else other.valuation
-            return PadicNumber.zero(p, known_to=ka + kb)
         m = min(self.precision, other.precision)
         mod = p**m
         return PadicNumber._make(p, self.valuation + other.valuation,
@@ -372,11 +342,9 @@ class PadicNumber:
         p = self.prime
         if q == 0:
             return PadicNumber.zero(p)
+        if self.is_exact_zero:
+            return self
         vq = vp(q.numerator, p) - vp(q.denominator, p)
-        if self.is_zero:
-            if self.known_to is None:
-                return self
-            return PadicNumber.zero(p, known_to=self.known_to + vq)
         m = self.precision
         mod = p**m
         nu = q.numerator // p ** vp(q.numerator, p)
@@ -402,8 +370,6 @@ class PadicNumber:
                 % (p, other.known_to))
         if self.is_exact_zero:
             return self
-        if self.is_zero:
-            return PadicNumber.zero(p, known_to=self.known_to - other.valuation)
         m = min(self.precision, other.precision)
         mod = p**m
         u = self.unit * pow(other.unit, -1, mod) % mod
@@ -411,13 +377,8 @@ class PadicNumber:
 
     def __rtruediv__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if self.is_zero:
-                if self.is_exact_zero:
-                    raise ZeroDivisionError("division by exact zero")
-                raise PrecisionExhaustedError(
-                    "division by a value indistinguishable from 0")
-            num = PadicNumber.from_fraction(q, self.prime, self.precision)
+            num = PadicNumber.from_fraction(Fraction(other), self.prime,
+                                            max(self.precision, 1))
             return num / self
         return NotImplemented
 
@@ -431,10 +392,8 @@ class PadicNumber:
             return PadicNumber.one(p, self.precision)
         if n < 0:
             return (PadicNumber.one(p, self.precision) / self) ** (-n)
-        if self.is_zero:
-            if self.known_to is None:
-                return self
-            return PadicNumber.zero(p, known_to=n * self.known_to)
+        if self.is_exact_zero:
+            return self
         m = self.precision
         mod = p**m
         return PadicNumber._make(p, n * self.valuation,

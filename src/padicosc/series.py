@@ -209,7 +209,7 @@ def vdp_basis_eval(n: int, x: Point, p: Optional[int] = None) -> int:
         p = x.prime
     if p is None:
         raise DomainError("prime needed for integer points")
-    s = len(hensel_digits(n, p).digits) - 1
+    s = len(hensel_digits(n, p)) - 1
     mod = p ** (s + 1)
     if isinstance(x, int):
         return 1 if x % mod == n else 0

@@ -265,10 +265,7 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
     if n_req < 1:
         raise DomainError("precision must be positive")
 
-    if p == 2:
-        torsion_trivial = kappa0 % 2 == 0 or r % 4 == 1
-    else:
-        torsion_trivial = pow(r % p, kappa0, p) == 1
+    torsion_trivial = pow(r % p, kappa0, p) == 1
     if isinstance(s, PadicNumber):
         if s.prime != p:
             raise DomainError("s lives in a different Q_p")
