@@ -279,6 +279,9 @@ def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:
 
 
 def _cmd_kernel(ns, cfg: RunConfig) -> Tuple[dict, str]:
+    """Null space of the truncated M x M matrix.  `kernel raising`
+    returns P_{M-1} only because the window drops the top column's
+    image; a+ is injective."""
     a = as_matrix(ns.op, cfg.truncation, cfg.prime, cfg.precision_digits)
     basis = kernel_solve(a)
     payload = {"schema_version": SCHEMA_VERSION, "p": cfg.prime,
