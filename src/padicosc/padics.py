@@ -4,12 +4,13 @@ A nonzero value is stored as unit * p**valuation with the unit known
 modulo p**precision, so the value itself is determined modulo
 p**(valuation + precision) and the absolute value |x|_p = p**(-valuation)
 is exact.  Zero is a distinguished marker with unit 0 and precision 0.
-known_to=None means the exact zero (valuation 0); otherwise the value is
-only known to vanish modulo p**known_to, and valuation = known_to, so
-the marker is O(p**k) with no known digits and each operator's general
-formula already gives the right known_to for it.  Operations that must
-distinguish it from a small nonzero number raise PrecisionExhaustedError
-instead of guessing.
+known_to=None means the exact zero (valuation 0).  Otherwise the value is
+only known to vanish modulo p**known_to, and valuation = known_to: O(p^k)
+is valuation k with no known digits.  The general formula of each
+operator then covers the marker, since precision 0 makes the unit's
+modulus 1 and _make returns zero(known_to=valuation + precision).
+Operations that must distinguish it from a small nonzero number raise
+PrecisionExhaustedError instead of guessing.
 
 Also provided: Hensel digit expansions, the Teichmuller character and the
 angle projection x/omega(x), and powers of principal units via the
@@ -124,8 +125,7 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, p: int, known_to: Optional[int] = None) -> "PadicNumber":
-        valuation = 0 if known_to is None else known_to
-        return cls(prime=p, valuation=valuation, unit=0, precision=0,
+        return cls(prime=p, valuation=known_to or 0, unit=0, precision=0,
                    known_to=known_to)
 
     @classmethod
