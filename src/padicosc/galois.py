@@ -22,8 +22,8 @@ from .errors import DomainError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    is_primitive_root,
     is_prime,
-    prime_factors,
     teichmuller,
 )
 from .series import MahlerSeries, basis_vector
@@ -37,9 +37,8 @@ def _require_odd_prime(p: int) -> None:
 
 def smallest_primitive_root(p: int) -> int:
     _require_odd_prime(p)
-    checks = [(p - 1) // f for f in prime_factors(p - 1)]
     for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in checks):
+        if is_primitive_root(g, p):
             return g
     raise DomainError("no primitive root mod %d" % p)
 

@@ -12,6 +12,10 @@ modulus 1 and _make returns zero(known_to=valuation + precision).
 Operations that must distinguish it from a small nonzero number raise
 PrecisionExhaustedError instead of guessing.
 
+An int or Fraction operand is exact and enters the arithmetic as its
+numerator and denominator: multiplying keeps the relative precision,
+adding keeps the absolute precision.
+
 Also provided: Hensel digit expansions, the Teichmuller character and the
 angle projection x/omega(x), and powers of principal units via the
 binomial series.
@@ -29,16 +33,20 @@ from .errors import DomainError, PadicError, PrecisionExhaustedError
 DEFAULT_PRECISION = 32
 
 
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+def _split(n: int, p: int) -> tuple:
+    """(v, u) with n = u * p**v and u prime to p, for a nonzero integer n."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
-    n = abs(n)
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
+
+
+def vp(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    return _split(n, p)[0]
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -67,6 +75,12 @@ def prime_factors(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_primitive_root(g: int, p: int) -> bool:
+    """True when g generates (Z/pZ)* for the prime p."""
+    return g % p != 0 and all(pow(g, (p - 1) // f, p) != 1
+                              for f in prime_factors(p - 1))
 
 
 def is_prime(n: int) -> bool:
@@ -130,7 +144,7 @@ class PadicNumber:
 
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        return cls(prime=p, valuation=0, unit=1, precision=precision)
+        return cls._make(p, 0, 1, precision)
 
     @classmethod
     def _make(cls, p: int, valuation: int, unit: int, precision: int) -> "PadicNumber":
@@ -140,22 +154,18 @@ class PadicNumber:
         u = unit % p**precision
         if u == 0:
             return cls.zero(p, known_to=valuation + precision)
-        shift = vp(u, p)
-        if shift:
-            # digits below the first nonzero one move into the valuation
-            # and the relative precision shrinks accordingly
-            u //= p**shift
-            valuation += shift
-            precision -= shift
-            u %= p**precision
-        return cls(prime=p, valuation=valuation, unit=u, precision=precision)
+        # digits below the first nonzero one move into the valuation
+        # and the relative precision shrinks accordingly
+        shift, u = _split(u, p)
+        return cls(prime=p, valuation=valuation + shift, unit=u,
+                   precision=precision - shift)
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         if n == 0:
             return cls.zero(p)
-        v = vp(n, p)
-        return cls._make(p, v, n // p**v, precision)
+        v, u = _split(n, p)
+        return cls._make(p, v, u, precision)
 
     @classmethod
     def from_rational(cls, num: int, den: int, p: int,
@@ -164,12 +174,9 @@ class PadicNumber:
             raise DomainError("zero denominator")
         if num == 0:
             return cls.zero(p)
-        vn, vd = vp(num, p), vp(den, p)
-        nu = num // p**vn
-        du = den // p**vd
-        m = p**precision
-        u = nu * pow(du, -1, m) % m
-        return cls._make(p, vn - vd, u, precision)
+        vn, nu = _split(num, p)
+        vd, du = _split(den, p)
+        return cls._make(p, vn - vd, nu * pow(du, -1, p**precision), precision)
 
     @classmethod
     def from_fraction(cls, q: Fraction, p: int,
@@ -275,7 +282,7 @@ class PadicNumber:
 
     def __add__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            return self._add_exact(Fraction(other))
+            return self._add_exact(other)
         if not isinstance(other, PadicNumber):
             return NotImplemented
         self._check_same_field(other)
@@ -289,26 +296,23 @@ class PadicNumber:
         m = n - vmin
         if m <= 0:
             return PadicNumber.zero(p, known_to=n)
-        mod = p**m
         total = (self.unit * p ** (self.valuation - vmin)
-                 + other.unit * p ** (other.valuation - vmin)) % mod
+                 + other.unit * p ** (other.valuation - vmin))
         return PadicNumber._make(p, vmin, total, m)
 
     def __radd__(self, other) -> "PadicNumber":
         return self.__add__(other)
 
     def __sub__(self, other) -> "PadicNumber":
-        if isinstance(other, (int, Fraction)):
-            return self._add_exact(Fraction(-other))
-        if not isinstance(other, PadicNumber):
+        if not isinstance(other, (int, Fraction, PadicNumber)):
             return NotImplemented
-        return self.__add__(-other)
+        return self + (-other)
 
     def __rsub__(self, other) -> "PadicNumber":
         return (-self).__add__(other)
 
-    def _add_exact(self, q: Fraction) -> "PadicNumber":
-        """Add an exact rational; absolute precision is preserved."""
+    def _add_exact(self, q) -> "PadicNumber":
+        """Add an exact int or Fraction; absolute precision is preserved."""
         if q == 0:
             return self
         p = self.prime
@@ -317,12 +321,13 @@ class PadicNumber:
                              "embed the rational with from_rational first")
         n = self.abs_precision
         vq = vp(q.numerator, p) - vp(q.denominator, p)
-        other = PadicNumber.from_fraction(q, p, max(n - vq, 1))
+        other = PadicNumber.from_rational(q.numerator, q.denominator, p,
+                                          max(n - vq, 1))
         return self + other
 
     def __mul__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            return self._mul_exact(Fraction(other))
+            return self._mul_exact(other.numerator, other.denominator)
         if not isinstance(other, PadicNumber):
             return NotImplemented
         self._check_same_field(other)
@@ -330,34 +335,30 @@ class PadicNumber:
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNumber.zero(p)
         m = min(self.precision, other.precision)
-        mod = p**m
         return PadicNumber._make(p, self.valuation + other.valuation,
-                                 self.unit * other.unit % mod, m)
+                                 self.unit * other.unit, m)
 
     def __rmul__(self, other) -> "PadicNumber":
         return self.__mul__(other)
 
-    def _mul_exact(self, q: Fraction) -> "PadicNumber":
-        """Multiply by an exact rational; relative precision is preserved."""
+    def _mul_exact(self, num: int, den: int) -> "PadicNumber":
+        """Multiply by num/den (den nonzero); relative precision is preserved."""
         p = self.prime
-        if q == 0:
+        if num == 0:
             return PadicNumber.zero(p)
         if self.is_exact_zero:
             return self
-        vq = vp(q.numerator, p) - vp(q.denominator, p)
+        vn, nu = _split(num, p)
+        vd, du = _split(den, p)
         m = self.precision
-        mod = p**m
-        nu = q.numerator // p ** vp(q.numerator, p)
-        du = q.denominator // p ** vp(q.denominator, p)
-        u = self.unit * nu * pow(du, -1, mod) % mod
-        return PadicNumber._make(p, self.valuation + vq, u, m)
+        return PadicNumber._make(p, self.valuation + vn - vd,
+                                 self.unit * nu * pow(du, -1, p**m), m)
 
     def __truediv__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self._mul_exact(1 / q)
+            return self._mul_exact(other.denominator, other.numerator)
         if not isinstance(other, PadicNumber):
             return NotImplemented
         self._check_same_field(other)
@@ -371,14 +372,13 @@ class PadicNumber:
         if self.is_exact_zero:
             return self
         m = min(self.precision, other.precision)
-        mod = p**m
-        u = self.unit * pow(other.unit, -1, mod) % mod
+        u = self.unit * pow(other.unit, -1, p**m)
         return PadicNumber._make(p, self.valuation - other.valuation, u, m)
 
     def __rtruediv__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            num = PadicNumber.from_fraction(Fraction(other), self.prime,
-                                            max(self.precision, 1))
+            num = PadicNumber.from_rational(other.numerator, other.denominator,
+                                            self.prime, max(self.precision, 1))
             return num / self
         return NotImplemented
 
@@ -395,9 +395,8 @@ class PadicNumber:
         if self.is_exact_zero:
             return self
         m = self.precision
-        mod = p**m
         return PadicNumber._make(p, n * self.valuation,
-                                 pow(self.unit, n, mod), m)
+                                 pow(self.unit, n, p**m), m)
 
 
 # -- Teichmuller character and friends --------------------------------
@@ -408,9 +407,12 @@ def _teichmuller_residue(p: int, r: int, n: int) -> int:
     """omega(r) mod p**n for a unit residue r, by iterating x -> x**p.
 
     Each iteration fixes one more digit, so n iterations are more than
-    the n-1 needed; the count is fixed for determinism.
+    the n-1 needed; the count is fixed for determinism.  For p = 2 the
+    lift is +-1 by r mod 4 (see teichmuller).
     """
     mod = p**n
+    if p == 2:
+        return (1 if r % 4 == 1 else -1) % mod
     a = r % mod
     for _ in range(n):
         a = pow(a, p, mod)
@@ -428,11 +430,7 @@ def teichmuller(x: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
         raise DomainError("teichmuller needs a unit of Z_p")
     p = x.prime
     n = precision if precision is not None else x.precision
-    if p == 2:
-        if x.residue(2) == 1:
-            return PadicNumber.one(2, n)
-        return PadicNumber.from_int(-1, 2, n)
-    r = x.residue(1)
+    r = x.residue(2 if p == 2 else 1)
     return PadicNumber._make(p, 0, _teichmuller_residue(p, r, n), n)
 
 

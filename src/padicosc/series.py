@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionExhaustedError
@@ -104,14 +105,9 @@ def basis_vector(p: int, n: int, truncation: int, precision: int) -> MahlerSerie
 
 def mahler_basis_eval_int(n: int, x: int) -> int:
     """binomial(x, n) for an integer point, exact."""
-    prod = 1
-    for j in range(n):
-        prod *= x - j
-    fact = 1
-    for j in range(2, n + 1):
-        fact *= j
-    assert prod % fact == 0
-    return prod // fact
+    if x >= 0:
+        return comb(x, n)
+    return (-1) ** n * comb(n - x - 1, n)
 
 
 def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
@@ -144,28 +140,18 @@ def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
         prod = prod * (xres - j) % mod
     # the true product is divisible by p**v because binomials of p-adic
     # integers are p-adic integers
-    fact = 1
-    for j in range(2, n + 1):
-        fact *= j
-    w = fact // p**v
+    w = factorial(n) // p**v
     c = prod // p**v * pow(w, -1, p ** (nx - v)) % p ** (nx - v)
     return PadicNumber._make(p, 0, c, nx - v)
 
 
 def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
     """Value of the truncated sum at x; exact integer points cost nothing."""
-    p = f.prime
-    acc = PadicNumber.zero(p)
-    if isinstance(x, int):
-        for n, c in enumerate(f.coefficients):
-            if c.is_exact_zero:
-                continue
-            acc = acc + c * mahler_basis_eval_int(n, x)
-        return acc
+    basis = mahler_basis_eval_int if isinstance(x, int) else mahler_basis_eval
+    acc = PadicNumber.zero(f.prime)
     for n, c in enumerate(f.coefficients):
-        if c.is_exact_zero:
-            continue
-        acc = acc + c * mahler_basis_eval(n, x)
+        if not c.is_exact_zero:
+            acc = acc + c * basis(n, x)
     return acc
 
 

@@ -24,7 +24,7 @@ from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
     _teichmuller_residue,
-    prime_factors,
+    is_primitive_root,
     teichmuller,
     unit_power,
 )
@@ -148,11 +148,8 @@ def default_regulator(p: int) -> int:
     """Smallest primitive root mod p^2 (3 when p = 2)."""
     if p == 2:
         return 3
-    checks = [(p - 1) // f for f in prime_factors(p - 1)]
     for r in range(2, p * p):
-        if r % p == 0 or any(pow(r, e, p) == 1 for e in checks):
-            continue
-        if pow(r, p - 1, p * p) != 1:
+        if is_primitive_root(r, p) and pow(r, p - 1, p * p) != 1:
             return r
     raise DomainError("no regulator found for p = %d" % p)
 
@@ -227,11 +224,9 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     slope = (regulator * rinv - 1) // q
     # (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
     half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
-    if p == 2:
-        stride, classes = 4, ((1, 1), (3, mod - 1))
-    else:
-        stride = p
-        classes = [(c, _teichmuller_residue(p, c, digits)) for c in range(1, p)]
+    stride = 4 if p == 2 else p
+    classes = [(c, _teichmuller_residue(p, c, digits))
+               for c in range(1, stride) if c % p]
     e_om = (kappa0 - 1) % _torsion_order(p)
     acc = 0
     for c, w in classes:
@@ -266,28 +261,30 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
         raise DomainError("precision must be positive")
 
     torsion_trivial = pow(r % p, kappa0, p) == 1
+    x = s  # the point computed with; the report keeps s as given
     if isinstance(s, PadicNumber):
         if s.prime != p:
             raise DomainError("s lives in a different Q_p")
         if not s.is_zero and s.valuation < 0:
             raise DomainError("s must lie in Z_p")
-        diff = s - 1
-        s_exactly_one = diff.is_exact_zero
-        if torsion_trivial and not s_exactly_one and diff.is_zero:
-            raise PrecisionExhaustedError(
-                "s is indistinguishable from the pole at 1 "
-                "(difference known to vanish mod %d**%s)" % (p, diff.known_to))
-    elif isinstance(s, int):
-        s_exactly_one = s == 1
-    else:
+        if s.is_exact_zero:
+            x = 0  # s - 1 would have unbounded precision
+        else:
+            diff = s - 1
+            if torsion_trivial and diff.is_zero:
+                raise PrecisionExhaustedError(
+                    "s is indistinguishable from the pole at 1 "
+                    "(difference known to vanish mod %d**%s)"
+                    % (p, diff.known_to))
+    elif not isinstance(s, int):
         raise DomainError("s must be an int or PadicNumber")
-    if torsion_trivial and s_exactly_one:
+    if torsion_trivial and isinstance(x, int) and x == 1:
         raise PoleError(
             "pole/indeterminate at this branch point: s = 1 with "
             "w(r)^kappa0 = 1")
 
     probe = n_req + 10
-    den = _prefactor_denominator(s, kappa0, r, p, probe)
+    den = _prefactor_denominator(x, kappa0, r, p, probe)
     if den.is_zero:
         raise PrecisionExhaustedError(
             "prefactor denominator vanishes to p^-%s; "
@@ -295,14 +292,14 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
     v_den = den.valuation
     digits = n_req + v_den + 4
     if digits > probe:
-        den = _prefactor_denominator(s, kappa0, r, p, digits)
+        den = _prefactor_denominator(x, kappa0, r, p, digits)
 
-    if isinstance(s, int):
-        exponent = -s
+    if isinstance(x, int):
+        exponent = -x
     else:
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
-        exponent = (-s).residue(digits - (2 if p == 2 else 1))
+        exponent = (-x).residue(digits - (2 if p == 2 else 1))
     acc = _unit_sum(p, kappa0, exponent, r, level, digits)
     integral = PadicNumber._make(p, 0, acc, digits)
     return ZetaBranchEval(prime=p, kappa0=kappa0, s=s, regulator=r,

@@ -46,6 +46,12 @@ def test_smallest_primitive_roots():
     assert smallest_primitive_root(11) == 2
     assert smallest_primitive_root(13) == 2
     assert smallest_primitive_root(97) == 5
+    # brute force: the smallest g whose powers fill (Z/pZ)*
+    for p in range(3, 200):
+        if all(p % d for d in range(2, p)):
+            g = next(g for g in range(2, p)
+                     if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+            assert smallest_primitive_root(p) == g, p
 
 
 def test_generator_p3_is_minus_one():

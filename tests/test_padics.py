@@ -354,6 +354,15 @@ def test_teichmuller_p2_convention():
     assert w3 == PadicNumber.from_int(-1, 2, n)
 
 
+def test_one_and_teichmuller_at_precision_zero_are_markers():
+    one = PadicNumber.one(5, 0)
+    assert one.is_zero and one.known_to == 0
+    marker = PadicNumber.zero(2, known_to=0)
+    w5 = teichmuller(PadicNumber.from_int(5, 2, 4), precision=0)
+    w3 = teichmuller(PadicNumber.from_int(3, 2, 4), precision=0)
+    assert w5 == w3 == marker
+
+
 def test_teichmuller_rejects_non_units():
     with pytest.raises(DomainError):
         teichmuller(PadicNumber.from_int(10, 5, 4))

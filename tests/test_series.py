@@ -57,6 +57,15 @@ def test_p2_at_three():
     assert mahler_basis_eval_int(2, 3) == 3
 
 
+def test_integer_basis_is_falling_factorial_over_factorial():
+    for x in range(-12, 13):
+        for n in range(11):
+            prod = 1
+            for j in range(n):
+                prod *= x - j
+            assert mahler_basis_eval_int(n, x) == prod // math.factorial(n), (n, x)
+
+
 def test_p6_integral_despite_division():
     # v_5(6!) = 1, yet binomial(x, 6) stays in Z_5
     rng = random.Random(11)

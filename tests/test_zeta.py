@@ -160,6 +160,18 @@ def test_default_regulators():
     assert default_regulator(3) == 2
     assert default_regulator(5) == 2
     assert default_regulator(7) == 3
+    # brute force: the smallest r of multiplicative order p(p-1) mod p^2
+    def order(r, q):
+        e, x = 1, r
+        while x != 1:
+            e, x = e + 1, x * r % q
+        return e
+
+    for p in range(3, 200):
+        if all(p % d for d in range(2, p)):
+            r = next(r for r in range(2, p * p)
+                     if r % p and order(r, p * p) == p * (p - 1))
+            assert default_regulator(p) == r, p
 
 
 def test_default_regulator_has_full_order_mod_p_squared():
@@ -272,7 +284,7 @@ def test_zeta_measure_denominator_consumes_budget():
 
 
 @pytest.mark.parametrize("p,kappa0,k,level", [
-    (5, 2, 2, 3), (2, 0, 2, 5), (7, 4, 4, 3)])
+    (5, 2, 2, 3), (2, 0, 2, 5), (7, 4, 4, 3), (5, 0, 1, 3), (2, 0, 1, 4)])
 def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
     branch = Branch(p, kappa0)
     as_int = zeta_measure(1 - k, branch, level=level, precision=10)
