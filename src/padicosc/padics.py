@@ -59,6 +59,8 @@ def digit_sum(n: int, p: int) -> int:
 
 def vp_factorial(n: int, p: int) -> int:
     """v_p(n!) = (n - digit_sum_p(n)) / (p - 1), exactly."""
+    if n < 0:
+        raise DomainError("vp_factorial needs n >= 0")
     return (n - digit_sum(n, p)) // (p - 1)
 
 
@@ -176,7 +178,9 @@ class PadicNumber:
             return cls.zero(p)
         vn, nu = _split(num, p)
         vd, du = _split(den, p)
-        return cls._make(p, vn - vd, nu * pow(du, -1, p**precision), precision)
+        # precision <= 0 gives the marker O(p^(v + precision)), as from_int
+        inverse = pow(du, -1, p**max(precision, 0))
+        return cls._make(p, vn - vd, nu * inverse, precision)
 
     @classmethod
     def from_fraction(cls, q: Fraction, p: int,

@@ -7,7 +7,10 @@ branch-matched k.  The measure route Riemann-sums the integrand
 Bernoulli measure, then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
 The unit sum runs over plain integers and sums against E_{1,r}, which is
-measure_value at the integer regulator r^-1 mod p^(digits + level).
+measure_value at the integer regulator r^-1 mod p^(digits + level).  Its
+two kernels give the same residue: floor sums when the exponent e = -s is
+a small integer >= 0, about (e+2)^2 bit_length(p^N) work per progression,
+else the residue loop, one term per unit (s > 0, generic p-adic s, low N).
 """
 
 from __future__ import annotations
@@ -208,25 +211,34 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
     return unit_power(x / w, 1 - s, digits) * w**kappa0 - 1
 
 
+def _disc_constants(regulator: int, q: int, mod: int):
+    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
+    rinv = pow(regulator, -1, q)
+    # half = (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
+    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
+    return rinv, (regulator * rinv - 1) // q, half
+
+
+def _unit_classes(p: int, digits: int):
+    """Stride and unit classes (c, w(c) mod p^digits); at p = 2, c mod 4."""
+    stride = 4 if p == 2 else p
+    return stride, [(c, _teichmuller_residue(p, c, digits))
+                    for c in range(1, stride) if c % p]
+
+
 def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
               level: int, digits: int) -> int:
     """Sum over the units a mod p^level of <a>^exponent w(a)^(kappa0-1)
     E_{1,r}(a + p^level Z_p), as a residue mod p^digits.
 
-    The units split into classes c with a fixed Teichmuller value w(c):
-    c mod p, or c in {1, 3} mod 4 with w(c) = +-1 when p = 2.  The disc
-    value r*floor(R a/q) - slope*a + (r-1)/2, with q = p^level,
-    R = r^-1 mod q and slope = (rR - 1)/q, is an integer mod p^digits.
+    The residue loop, one term per unit: zeta_measure runs it for a
+    negative or large exponent and at low levels, and it is the test
+    oracle of _floor_unit_sum.
     """
     q = p**level
     mod = p**digits
-    rinv = pow(regulator, -1, q)
-    slope = (regulator * rinv - 1) // q
-    # (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
-    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
-    stride = 4 if p == 2 else p
-    classes = [(c, _teichmuller_residue(p, c, digits))
-               for c in range(1, stride) if c % p]
+    rinv, slope, half = _disc_constants(regulator, q, mod)
+    stride, classes = _unit_classes(p, digits)
     e_om = (kappa0 - 1) % _torsion_order(p)
     acc = 0
     for c, w in classes:
@@ -236,6 +248,92 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
             mu = regulator * (rinv * a // q) - slope * a + half
             part += pow(a * winv % mod, exponent, mod) * mu
         acc += part % mod * pow(w, e_om, mod)
+    return acc % mod
+
+
+def _progressions(p: int, kappa0: int, exponent: int, level: int,
+                  digits: int):
+    """(start, step, count, weight w(c)^(kappa0-1-exponent)) of the
+    progressions of units that _floor_unit_sum sums over."""
+    q, mod, order = p**level, p**digits, _torsion_order(p)
+    if (kappa0 - 1 - exponent) % order == 0:
+        # every weight is 1: all a < q less the multiples of p
+        return [(0, 1, q, 1), (0, p, q // p, mod - 1)]
+    stride, classes = _unit_classes(p, digits)
+    return [(c, stride, len(range(c, q, stride)),
+             pow(w, (kappa0 - 1 - exponent) % order, mod)) for c, w in classes]
+
+
+def _progression_sums(e, rinv, q, start, step, count, mod):
+    """(sum a^e, sum a^(e+1), sum a^e floor(rinv a/q)) mod `mod` over
+    a = start + step*t, 0 <= t < count, by the universal Euclid recursion
+    on the lattice path of floor((rinv step t + b)/q).  A node (dx, dy,
+    s0, s1) is a run of path moves: s0[i], s1[i] sum x^i, x^i y (i <= e+1)
+    where it moves right; joining shifts the second run by binomials."""
+    n = e + 2
+    binom = [[math.comb(i, j) for j in range(i + 1)] for i in range(n)]
+    zeros = [0] * n
+    ident = (0, 0, zeros, zeros)
+
+    def join(a, b):
+        if a is ident or b is ident:
+            return b if a is ident else a
+        dx, dy, s0, s1 = a[0], a[1], a[2][:], a[3][:]
+        pw = [pow(dx, i, mod) for i in range(n)]
+        for i, row in enumerate(binom):
+            t0 = t1 = 0
+            for j, cij in enumerate(row):
+                c = cij * pw[i - j]
+                t0 += c * b[2][j]
+                t1 += c * b[3][j]
+            s0[i] = (s0[i] + t0) % mod
+            s1[i] = (s1[i] + t1 + dy * t0) % mod
+        return (dx + b[0]) % mod, (dy + b[1]) % mod, s0, s1
+
+    def power(a, k):
+        out = ident
+        for bit in bin(k)[2:]:
+            out = join(out, out)
+            if bit == "1":
+                out = join(out, a)
+        return out
+
+    y0, b = divmod(rinv * start, q)
+    first = [pow(start, i, mod) for i in range(n)]
+    node = (start % mod, y0 % mod, first, [f * y0 % mod for f in first])
+    up = (0, 1, zeros, zeros)
+    right = (step % mod, 0, [pow(step, i, mod) for i in range(n)], zeros)
+    big_p, big_q, big_l, tail = rinv * step, q, count - 1, []
+    while True:
+        right = join(power(up, big_p // big_q), right)
+        big_p %= big_q
+        m = (big_p * big_l + b) // big_q
+        if m == 0:
+            break
+        node = join(node, join(power(right, (big_q - b - 1) // big_p), up))
+        tail.append(power(right, big_l - (big_q * m - b - 1) // big_p))
+        big_p, big_q, b, big_l = big_q, big_p, (big_q - b - 1) % big_p, m - 1
+        up, right = right, up
+    for t in [power(right, big_l)] + tail[::-1]:
+        node = join(node, t)
+    return node[2][e], node[2][e + 1], node[3][e]
+
+
+def _floor_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
+                    level: int, digits: int) -> int:
+    """_unit_sum for exponent e >= 0 by floor sums, the same residue:
+    <a>^e w(a)^(kappa0-1) E_{1,r}(a) = w(c)^(kappa0-1-e) a^e (r floor(R a/q)
+    - slope a + half), so a progression needs the sums of a^e, a^(e+1) and
+    a^e floor(R a/q) only (Concrete Mathematics 3.5; the measure as in
+    Washington, Cyclotomic Fields, Ch. 12)."""
+    q, mod = p**level, p**digits
+    rinv, slope, half = _disc_constants(regulator, q, mod)
+    acc = 0
+    for start, step, count, weight in _progressions(p, kappa0, exponent,
+                                                    level, digits):
+        s0, s1, f = _progression_sums(exponent, rinv, q, start, step,
+                                      count, mod)
+        acc += weight * (regulator * f - slope * s1 + half * s0)
     return acc % mod
 
 
@@ -300,7 +398,16 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
         exponent = (-x).residue(digits - (2 if p == 2 else 1))
-    acc = _unit_sum(p, kappa0, exponent, r, level, digits)
+    # the floor sums cost about (e+2)^2 bit_length(p^level) per
+    # progression, the loop one term per unit
+    units = p**level - p**(level - 1)
+    progressions = (_progressions(p, kappa0, exponent, level, digits)
+                    if 0 <= exponent < units else ())
+    work = len(progressions) * (exponent + 2)**2 * (p**level).bit_length()
+    if 0 < work < units:
+        acc = _floor_unit_sum(p, kappa0, exponent, r, level, digits)
+    else:
+        acc = _unit_sum(p, kappa0, exponent, r, level, digits)
     integral = PadicNumber._make(p, 0, acc, digits)
     return ZetaBranchEval(prime=p, kappa0=kappa0, s=s, regulator=r,
                           level=level, value=integral / den,

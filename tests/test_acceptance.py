@@ -2,6 +2,7 @@
 
 Each test pins its own grid, tolerance and (where agreed) runtime, so
 a plain ``pytest -v tests/test_acceptance.py`` reads as a checklist.
+Criterion 06 has a companion at full working precision.
 Measure-path zeta values are cached at module level because the
 regulator-independence check reuses the top-level sums.
 """
@@ -21,7 +22,7 @@ from padicosc.operators import (
     kernel_solve,
     matrices_agree,
 )
-from padicosc.padics import PadicNumber, teichmuller
+from padicosc.padics import PadicNumber, teichmuller, vp
 from padicosc.sampling import random_mahler_series
 from padicosc.series import (
     MahlerSeries,
@@ -174,6 +175,26 @@ def test_criterion_06_measure_and_interpolation_paths_agree():
                 previous = e
             assert previous is None or previous >= TOP_LEVEL - 2, (p, kappa0, k)
     assert time.monotonic() - start < 120.0
+
+
+def test_criterion_06_paths_agree_to_all_working_digits():
+    # at level ZETA_DIGITS + v(den) the certified bound covers every digit;
+    # only the floor sums reach that level, so the time limit fails a
+    # fall-back to the loop over p^level residues
+    start = time.monotonic()
+    for p, kappa0, ks in ((2, 0, (2, 4, 6)),) + ZETA_GRID:
+        branch = Branch(p, kappa0)
+        r = default_regulator(p)
+        for k in ks:
+            # at branch-matched k the prefactor denominator is r^k - 1
+            level = ZETA_DIGITS + vp(r**k - 1, p)
+            ev = zeta_measure(1 - k, branch, regulator=r, level=level,
+                              precision=ZETA_DIGITS)
+            assert ev.error_bound_exponent >= ZETA_DIGITS, (p, kappa0, k)
+            d = ev.value - zeta_interp(k, branch, precision=ZETA_DIGITS + 8)
+            agree = d.known_to if d.is_zero else d.valuation
+            assert agree >= ev.error_bound_exponent, (p, kappa0, k, agree)
+    assert time.monotonic() - start < 10.0
 
 
 def test_criterion_07_regulator_independence_at_top_level():

@@ -56,6 +56,14 @@ def test_vp_and_factorial_valuation():
             assert vp_factorial(n, p) == direct
 
 
+def test_vp_factorial_rejects_negative():
+    # digit_sum of a negative n would stick at -1 and never return
+    for n in (-1, -3, -100):
+        with pytest.raises(DomainError):
+            vp_factorial(n, 5)
+    assert vp_factorial(0, 5) == 0
+
+
 def test_hensel_digits_examples():
     assert hensel_digits(12, 2) == (0, 0, 1, 1)
     assert n_minus(12, 2) == 4
@@ -94,6 +102,16 @@ def test_from_rational_examples():
 
     with pytest.raises(DomainError):
         PadicNumber.from_rational(1, 0, 5, 4)
+
+
+def test_from_rational_at_nonpositive_precision_is_a_marker():
+    assert PadicNumber.from_rational(1, 3, 5, -1) == PadicNumber.from_int(1, 5, -1)
+    for precision in (-3, -1, 0):
+        x = PadicNumber.from_rational(1, 3, 5, precision)
+        assert x.is_zero and not x.is_exact_zero
+        assert x.known_to == precision
+    # the marker sits at the value's valuation plus the precision
+    assert PadicNumber.from_rational(7, 25, 5, -1).known_to == -3
 
 
 def test_canonical_normalization():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from padicosc.galois import Branch
 from padicosc.zeta import (
     MazurMeasure,
     ZetaBranchEval,
+    _floor_unit_sum,
+    _unit_sum,
     bernoulli,
     default_regulator,
     integrate_units,
@@ -292,6 +295,48 @@ def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
     as_padic = zeta_measure(s, branch, level=level, precision=10)
     assert (as_int.value - as_padic.value).is_zero
     assert as_int.error_bound_exponent == as_padic.error_bound_exponent
+
+
+# (default, second, even) regulator per prime; p = 2 has no even one
+KERNEL_REGULATORS = {2: (3, 5), 3: (2, 5, 4), 5: (2, 3, 4), 7: (3, 5, 2),
+                     11: (2, 3, 4), 13: (2, 5, 4)}
+
+
+def _kernel_cases(p):
+    """(kappa0, e, r, level, digits): a matched and an unmatched weight at
+    every level, regulator and digit count; e runs through 0..12 and
+    kappa0 through every class mod the torsion order."""
+    order = 2 if p == 2 else p - 1
+    i = 0
+    for level in (range(2, 8) if p == 2 else range(1, 6)):
+        combos = [(r, d) for r in KERNEL_REGULATORS[p] for d in (4, 7, 24)]
+        if p**level > 10**5:
+            # the loop takes one term per unit: 11^5 and 13^5 run one combo
+            combos = combos[:1]
+        for r, digits in combos:
+            e = i % 13
+            yield (1 + e) % order, e, r, level, digits
+            yield (2 + e + i % (order - 1)) % order, e, r, level, digits
+            i += 1
+
+
+@pytest.mark.parametrize("p", sorted(KERNEL_REGULATORS))
+def test_floor_sum_kernel_matches_residue_loop(p):
+    # by name: zeta_measure sends small p-adic exponents to the floor sums
+    # too, so neither kernel is reachable alone through the public API
+    for kappa0, e, r, level, digits in _kernel_cases(p):
+        args = (p, kappa0, e, r, level, digits)
+        assert _floor_unit_sum(*args) == _unit_sum(*args), args
+
+
+def test_zeta_measure_high_level_agrees_with_interpolation():
+    # level 24 at p = 7 is 7^24 units: only the floor sums can reach it
+    start = time.monotonic()
+    branch = Branch(7, 2)
+    ev = zeta_measure(-7, branch, level=24, precision=20)
+    assert time.monotonic() - start < 1.0
+    assert ev.error_bound_exponent == 24
+    assert diff_exponent(ev.value, zeta_interp(8, branch, 28)) is None
 
 
 # criterion 06's branches with their matched k, plus p = 2
