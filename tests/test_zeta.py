@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 
 from fractions import Fraction
 
@@ -327,16 +326,6 @@ def test_floor_sum_kernel_matches_residue_loop(p):
     for kappa0, e, r, level, digits in _kernel_cases(p):
         args = (p, kappa0, e, r, level, digits)
         assert _floor_unit_sum(*args) == _unit_sum(*args), args
-
-
-def test_zeta_measure_high_level_agrees_with_interpolation():
-    # level 24 at p = 7 is 7^24 units: only the floor sums can reach it
-    start = time.monotonic()
-    branch = Branch(7, 2)
-    ev = zeta_measure(-7, branch, level=24, precision=20)
-    assert time.monotonic() - start < 1.0
-    assert ev.error_bound_exponent == 24
-    assert diff_exponent(ev.value, zeta_interp(8, branch, 28)) is None
 
 
 # criterion 06's branches with their matched k, plus p = 2
