@@ -4,11 +4,13 @@ One subcommand per invocation, JSON (default) or text on stdout,
 diagnostics on stderr.  Exit status: 0 success, 1 domain/config/input
 error, 2 precision exhaustion.
 
-Configuration resolves in three layers: built-in defaults, then an
-optional JSON config file (path from the PADICOSC_CONFIG environment
-variable, falling back to --config), then explicit flags.  With
-PADICOSC_CI set, randomized subcommands refuse to run without an
-explicit seed.
+Every global flag but --config is a config key of the same name; both
+are defined once, by a field of RunConfig that carries the setting's
+default, help text and bounds.  Configuration resolves in three
+layers: those defaults, then an optional JSON config file (path from
+the PADICOSC_CONFIG environment variable, falling back to --config),
+then explicit flags.  With PADICOSC_CI set, randomized subcommands
+refuse to run without an explicit seed.
 """
 
 import argparse
@@ -16,7 +18,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from math import gcd
 from typing import List, Optional, Tuple
 
@@ -57,9 +59,6 @@ from .serialization import (
 CONFIG_ENV = "PADICOSC_CONFIG"
 CI_ENV = "PADICOSC_CI"
 
-_DEFAULTS = {"p": 5, "precision": 32, "m": 8, "kappa0": 0, "level": 5,
-             "regulator": None, "output": "json", "seed": None}
-
 
 class _UsageError(ConfigError):
     """Bad flags or arguments; reported with usage wording."""
@@ -70,66 +69,63 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _setting(default, help, minimum=None, choices=None):
+    return field(default=default, metadata={
+        "help": help, "minimum": minimum, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    prime: int
-    precision_digits: int
-    truncation: int
-    kappa0: int
-    level: int
-    regulator: Optional[int]
-    output: str
-    seed: Optional[int]
+    """The global settings.  Each field is a --flag and a config-file key
+    of the same name.  A setting with choices takes one of them; any
+    other is an integer, at least its minimum, or None where that is
+    its default."""
+
+    p: int = _setting(5, "the prime")
+    precision: int = _setting(32, "significant base-p digits (>= 4)", 4)
+    m: int = _setting(8, "series truncation window M (>= 4)", 4)
+    kappa0: int = _setting(0, "branch index, 0 <= kappa0 <= p-2", 0)
+    level: int = _setting(5, "disc level N for measure sums", 1)
+    regulator: Optional[int] = _setting(
+        None, "regulator r coprime to p, not +-1 (default: smallest "
+              "primitive root mod p^2)")
+    output: str = _setting("json", "output format", choices=("text", "json"))
+    seed: Optional[int] = _setting(None, "seed for randomized subcommands")
 
     def __post_init__(self):
-        def check_int(name, v, minimum=None):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError("%s must be an integer, got %r" % (name, v))
-            if minimum is not None and v < minimum:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            choices, minimum = f.metadata["choices"], f.metadata["minimum"]
+            if choices is not None:
+                if v not in choices:
+                    raise ConfigError("%s must be %s, got %r" % (
+                        f.name, " or ".join(map(repr, choices)), v))
+            elif v is None and f.default is None:
+                continue
+            elif not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (f.name, v))
+            elif minimum is not None and v < minimum:
                 raise ConfigError("%s must be >= %d, got %d"
-                                  % (name, minimum, v))
-
-        check_int("p", self.prime)
-        if not is_prime(self.prime):
-            raise ConfigError("p = %d is not prime" % self.prime)
-        check_int("precision", self.precision_digits, 4)
-        check_int("m", self.truncation, 4)
-        check_int("level", self.level, 1)
-        check_int("kappa0", self.kappa0, 0)
-        if self.kappa0 > max(self.prime - 2, 0):
+                                  % (f.name, minimum, v))
+        if not is_prime(self.p):
+            raise ConfigError("p = %d is not prime" % self.p)
+        if self.kappa0 > max(self.p - 2, 0):
             raise ConfigError("kappa0 = %d out of range 0..%d for p = %d"
-                              % (self.kappa0, max(self.prime - 2, 0),
-                                 self.prime))
-        if self.regulator is not None:
-            check_int("regulator", self.regulator)
-            if gcd(self.regulator, self.prime) != 1:
-                raise ConfigError("regulator %d is not a unit at p = %d"
-                                  % (self.regulator, self.prime))
-        if self.output not in ("text", "json"):
-            raise ConfigError("output must be 'text' or 'json', got %r"
-                              % (self.output,))
-        if self.seed is not None:
-            check_int("seed", self.seed)
+                              % (self.kappa0, max(self.p - 2, 0), self.p))
+        if self.regulator is not None and gcd(self.regulator, self.p) != 1:
+            raise ConfigError("regulator %d is not a unit at p = %d"
+                              % (self.regulator, self.p))
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="padicosc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--p", type=int, default=None, help="the prime")
-    parser.add_argument("--precision", type=int, default=None,
-                        help="significant base-p digits (>= 4)")
-    parser.add_argument("--m", type=int, default=None,
-                        help="series truncation window M (>= 4)")
-    parser.add_argument("--kappa0", type=int, default=None,
-                        help="branch index, 0 <= kappa0 <= p-2")
-    parser.add_argument("--level", type=int, default=None,
-                        help="disc level N for measure sums")
-    parser.add_argument("--regulator", type=int, default=None,
-                        help="regulator r coprime to p (default: smallest "
-                             "primitive root mod p^2)")
-    parser.add_argument("--output", choices=("text", "json"), default=None)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subcommands")
+    for f in fields(RunConfig):
+        choices = f.metadata["choices"]
+        parser.add_argument("--" + f.name, type=None if choices else int,
+                            choices=choices, default=None,
+                            help=f.metadata["help"])
     parser.add_argument("--config", default=None,
                         help="JSON config file (overridden by $%s)"
                              % CONFIG_ENV)
@@ -181,7 +177,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    names = [f.name for f in fields(RunConfig)]
+    values = {}
     path = os.environ.get(CONFIG_ENV) or ns.config
     if path:
         try:
@@ -197,36 +194,30 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
                               % (path, exc)) from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file %s must hold a JSON object" % path)
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(loaded) - set(names))
         if unknown:
             raise ConfigError("config file %s has unknown keys: %s"
                               % (path, ", ".join(unknown)))
         values.update(loaded)
-    for key in _DEFAULTS:
-        flag = getattr(ns, key, None)
+    for name in names:
+        flag = getattr(ns, name)
         if flag is not None:
-            values[key] = flag
-    return RunConfig(prime=values["p"], precision_digits=values["precision"],
-                     truncation=values["m"], kappa0=values["kappa0"],
-                     level=values["level"], regulator=values["regulator"],
-                     output=values["output"], seed=values["seed"])
+            values[name] = flag
+    return RunConfig(**values)
 
 
 # -- subcommand handlers ------------------------------------------------
 
 
 def _series_result(f) -> Tuple[dict, str]:
-    payload = dict(series_to_dict(f))
-    payload["schema_version"] = SCHEMA_VERSION
-    return payload, format_series_file(f).rstrip("\n")
+    return series_to_dict(f), format_series_file(f).rstrip("\n")
 
 
 def _cmd_teichmuller(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    x = PadicNumber.from_int(ns.alpha, cfg.prime, cfg.precision_digits)
+    x = PadicNumber.from_int(ns.alpha, cfg.p, cfg.precision)
     w = teichmuller(x)
     a = angle(x)
-    payload = {"schema_version": SCHEMA_VERSION, "p": cfg.prime,
-               "alpha": ns.alpha, "omega": padic_to_dict(w),
+    payload = {"p": cfg.p, "alpha": ns.alpha, "omega": padic_to_dict(w),
                "angle": padic_to_dict(a)}
     text = "omega(%d) = %s\nangle(%d) = %s" % (
         ns.alpha, padic_to_text(w), ns.alpha, padic_to_text(a))
@@ -261,9 +252,9 @@ def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:
     if ns.trials < 1:
         raise _UsageError("--trials must be positive")
     rng = random.Random(seed)
-    m = cfg.truncation
+    m = cfg.m
     for trial in range(ns.trials):
-        f = random_mahler_series(rng, cfg.prime, m, cfg.precision_digits)
+        f = random_mahler_series(rng, cfg.p, m, cfg.precision)
         defect = commutator_defect(f)
         for i in range(m - 1):
             if not defect.coefficients[i].is_zero:
@@ -272,8 +263,8 @@ def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:
                     "(seed %d)" % (i, trial, seed))
     message = "defect 0 on indices 0..%d for %d/%d trials" % (
         m - 2, ns.trials, ns.trials)
-    payload = {"schema_version": SCHEMA_VERSION, "p": cfg.prime, "M": m,
-               "precision": cfg.precision_digits, "trials": ns.trials,
+    payload = {"p": cfg.p, "M": m, "precision": cfg.precision,
+               "trials": ns.trials,
                "passes": ns.trials, "seed": seed, "message": message}
     return payload, message
 
@@ -282,10 +273,9 @@ def _cmd_kernel(ns, cfg: RunConfig) -> Tuple[dict, str]:
     """Null space of the truncated M x M matrix.  `kernel raising`
     returns P_{M-1} only because the window drops the top column's
     image; a+ is injective."""
-    a = as_matrix(ns.op, cfg.truncation, cfg.prime, cfg.precision_digits)
+    a = as_matrix(ns.op, cfg.m, cfg.p, cfg.precision)
     basis = kernel_solve(a)
-    payload = {"schema_version": SCHEMA_VERSION, "p": cfg.prime,
-               "M": cfg.truncation, "operator": ns.op,
+    payload = {"p": cfg.p, "M": cfg.m, "operator": ns.op,
                "dimension": len(basis),
                "basis": [series_to_dict(b) for b in basis]}
     lines = ["kernel of %s: dimension %d" % (ns.op, len(basis))]
@@ -303,11 +293,11 @@ def _matrix_line(t: int, a) -> str:
 
 
 def _cmd_orbit(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    branch = Branch(cfg.prime, ns.kappa0)
-    seed_matrix = as_matrix("hamiltonian", cfg.truncation, cfg.prime,
-                            cfg.precision_digits)
+    branch = Branch(cfg.p, ns.kappa0)
+    seed_matrix = as_matrix("hamiltonian", cfg.m, cfg.p,
+                            cfg.precision)
     mats, period = orbit(branch, seed_matrix)
-    payload = orbit_to_dict(cfg.prime, ns.kappa0, period, mats)
+    payload = orbit_to_dict(cfg.p, ns.kappa0, period, mats)
     lines = ["period %d" % period]
     lines.extend(_matrix_line(t, a) for t, a in enumerate(mats))
     return payload, "\n".join(lines)
@@ -324,9 +314,9 @@ def _zeta_text(ev: ZetaBranchEval) -> str:
 
 
 def _cmd_zeta_interp(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    branch = Branch(cfg.prime, cfg.kappa0)
-    value = zeta_interp(ns.k, branch, precision=cfg.precision_digits)
-    ev = ZetaBranchEval(prime=cfg.prime, kappa0=cfg.kappa0, s=1 - ns.k,
+    branch = Branch(cfg.p, cfg.kappa0)
+    value = zeta_interp(ns.k, branch, precision=cfg.precision)
+    ev = ZetaBranchEval(prime=cfg.p, kappa0=cfg.kappa0, s=1 - ns.k,
                         regulator=None, level=None, value=value,
                         error_bound_exponent=None, path="interpolation")
     return zeta_report_to_dict(ev), _zeta_text(ev)
@@ -347,29 +337,27 @@ def _parse_levels(arg: str) -> List[int]:
 
 
 def _cmd_zeta_measure(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    branch = Branch(cfg.prime, cfg.kappa0)
+    branch = Branch(cfg.p, cfg.kappa0)
     levels = [cfg.level] if ns.levels is None else _parse_levels(ns.levels)
     evals = [zeta_measure(1 - ns.k, branch, regulator=cfg.regulator,
-                          level=n, precision=cfg.precision_digits)
+                          level=n, precision=cfg.precision)
              for n in levels]
     if len(evals) == 1:
         return zeta_report_to_dict(evals[0]), _zeta_text(evals[0])
-    payload = {"schema_version": SCHEMA_VERSION,
-               "evaluations": [zeta_report_to_dict(ev) for ev in evals]}
+    payload = {"evaluations": [zeta_report_to_dict(ev) for ev in evals]}
     return payload, "\n".join(_zeta_text(ev) for ev in evals)
 
 
 def _cmd_zeta_table(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    branch = Branch(cfg.prime, cfg.kappa0)
-    torsion = _torsion_order(cfg.prime)
+    branch = Branch(cfg.p, cfg.kappa0)
+    torsion = _torsion_order(cfg.p)
     rows = []
     for k in range(1, ns.kmax + 1):
         if (k - cfg.kappa0) % torsion:
             continue
-        value = zeta_interp(k, branch, precision=cfg.precision_digits)
+        value = zeta_interp(k, branch, precision=cfg.precision)
         rows.append((k, value))
-    payload = {"schema_version": SCHEMA_VERSION, "p": cfg.prime,
-               "kappa0": cfg.kappa0,
+    payload = {"p": cfg.p, "kappa0": cfg.kappa0,
                "rows": [{"k": k, "s": 1 - k, "value": padic_to_dict(v)}
                         for k, v in rows]}
     lines = ["k=%d  s=%d  %s" % (k, 1 - k, padic_to_text(v))
@@ -421,7 +409,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PadicError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    print(dumps(payload) if cfg.output == "json" else text)
+    if cfg.output == "json":
+        payload["schema_version"] = SCHEMA_VERSION
+        text = dumps(payload)
+    print(text)
     return 0
 
 

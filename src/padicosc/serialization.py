@@ -139,7 +139,10 @@ def _check_header(d: Any, what: str, allowed: Sequence[str]) -> Tuple[str, int, 
         raise InputFormatError(
             "%s: basis must be one of %s, got %r"
             % (what, "/".join(allowed), basis))
-    return basis, _get_prime(d, what), _get_int(d, "M", what)
+    p, m = _get_prime(d, what), _get_int(d, "M", what)
+    if m < 1:
+        raise InputFormatError("%s: M = %d, need M >= 1" % (what, m))
+    return basis, p, m
 
 
 def series_from_dict(d: Any) -> Union[MahlerSeries, VanDerPutSeries]:
@@ -148,7 +151,7 @@ def series_from_dict(d: Any) -> Union[MahlerSeries, VanDerPutSeries]:
     coeffs = _get(d, "coefficients", what)
     if not isinstance(coeffs, list):
         raise InputFormatError("%s: 'coefficients' must be a list" % what)
-    if m < 1 or m != len(coeffs):
+    if m != len(coeffs):
         raise InputFormatError(
             "%s: M = %r does not match %d coefficients" % (what, m, len(coeffs)))
     parsed = []

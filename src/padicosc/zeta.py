@@ -60,7 +60,9 @@ def bernoulli(k: int) -> Fraction:
 
 
 def _validate_regulator(regulator: int, p: int) -> None:
-    if regulator == 1 or math.gcd(regulator, p) != 1:
+    # r = 1 regularizes nothing; r = -1 makes the prefactor denominator
+    # <r>^(1-s) w(r)^kappa0 - 1 exactly 0 on every even branch
+    if regulator in (1, -1) or math.gcd(regulator, p) != 1:
         raise DomainError("invalid regulator %r for p = %d" % (regulator, p))
 
 

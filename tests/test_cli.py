@@ -1,10 +1,11 @@
 """End-to-end command tests: frozen outputs, exit codes, determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from padicosc.cli import main
+from padicosc.cli import RunConfig, main
 from padicosc.padics import PadicNumber
 from padicosc.serialization import (
     format_samples_file,
@@ -207,6 +208,15 @@ def test_precision_exhaustion_exit_2(capsys):
     assert rc == 2 and err.startswith("precision exhausted")
 
 
+def test_regulator_plus_minus_one_exit_1(capsys):
+    # the prefactor is 0 (r = -1) or the measure is 0 (r = 1) at any
+    # precision, so this is a domain error, not precision exhaustion
+    for r in ("1", "-1"):
+        rc, _, err = run(capsys, "--regulator", r, "zeta-measure", "2")
+        assert rc == 1 and err.startswith("domain error")
+        assert "invalid regulator" in err
+
+
 def test_odd_branch_gated_exit_1(capsys):
     rc, _, err = run(capsys, "--p", "5", "--kappa0", "3", "zeta-interp", "3")
     assert rc == 1 and err.startswith("domain error") and "even" in err
@@ -250,6 +260,37 @@ def test_config_file_and_env_override(capsys, tmp_path, monkeypatch):
     # explicit flags win over the config file
     report = run_json(capsys, "--p", "5", "teichmuller", "3")
     assert report["p"] == 5 and report["omega"]["precision"] == 16
+
+
+# each global setting: a non-default value and a command whose stdout shows it
+SETTING_CASES = {
+    "p": (7, ("teichmuller", "3")),
+    "precision": (16, ("teichmuller", "3")),
+    "m": (6, ("kernel", "lowering")),
+    "kappa0": (2, ("zeta-table", "10")),
+    "level": (3, ("zeta-measure", "2")),
+    "regulator": (3, ("zeta-measure", "2")),
+    "output": ("text", ("orbit", "2")),
+    "seed": (11, ("--p", "3", "commutator-check", "--trials", "2")),
+}
+
+
+def test_settings_are_pinned():
+    assert [f.name for f in fields(RunConfig)] == list(SETTING_CASES)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_setting_as_flag_or_config_key(capsys, tmp_path, name):
+    value, args = SETTING_CASES[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    rc, default_out, err = run(capsys, *args)
+    assert rc == 0, err
+    rc, flag_out, err = run(capsys, "--" + name, str(value), *args)
+    assert rc == 0, err
+    rc, file_out, err = run(capsys, "--config", str(cfg), *args)
+    assert rc == 0, err
+    assert flag_out == file_out != default_out
 
 
 def test_config_file_errors(capsys, tmp_path):

@@ -159,6 +159,11 @@ def test_samples_file_round_trip_and_header_checks():
     short = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(InputFormatError, match="M = 4"):
         parse_samples_file(short)
+    # and must count at least one sample
+    for m in (0, -1):
+        empty = json.dumps({"basis": "samples", "p": 5, "M": m}) + "\n"
+        with pytest.raises(InputFormatError, match="M >= 1"):
+            parse_samples_file(empty)
 
 
 # -- matrices ----------------------------------------------------------

@@ -88,6 +88,8 @@ def test_measure_rejects_bad_input():
     with pytest.raises(DomainError):
         measure_value(0, 1, 1, 5)          # r = 1 regularizes nothing
     with pytest.raises(DomainError):
+        measure_value(0, 1, -1, 5)         # r = -1 zeroes the prefactor
+    with pytest.raises(DomainError):
         measure_value(0, 1, 10, 5)         # r divisible by p
     with pytest.raises(DomainError):
         measure_value(25, 2, 2, 5)         # residue out of range
@@ -402,6 +404,9 @@ def test_zeta_measure_gates():
         zeta_measure(-1, Branch(2, 0), level=1)     # p = 2 needs level >= 2
     with pytest.raises(DomainError):
         zeta_measure(-1, Branch(5, 2), regulator=10, level=3)
+    for p, kappa0 in ((2, 0), (5, 0), (5, 2), (7, 4)):
+        with pytest.raises(DomainError, match="invalid regulator"):
+            zeta_measure(-1, Branch(p, kappa0), regulator=-1, level=3)
     with pytest.raises(DomainError):
         s = PadicNumber.from_rational(1, 5, 5, 10)  # valuation -1
         zeta_measure(s, Branch(5, 2), level=3)
