@@ -157,7 +157,7 @@ def _build_parser() -> _Parser:
     s.add_argument("op", choices=OPERATOR_NAMES)
 
     s = sub.add_parser("orbit", help="cyclic branch orbit of a matrix")
-    s.add_argument("kappa0", type=int)
+    s.add_argument("cmd_kappa0", metavar="kappa0", type=int)
 
     s = sub.add_parser("zeta-interp",
                        help="zeta value at s = 1-k by exact interpolation")
@@ -293,11 +293,11 @@ def _matrix_line(t: int, a) -> str:
 
 
 def _cmd_orbit(ns, cfg: RunConfig) -> Tuple[dict, str]:
-    branch = Branch(cfg.p, ns.kappa0)
+    branch = Branch(cfg.p, ns.cmd_kappa0)
     seed_matrix = as_matrix("hamiltonian", cfg.m, cfg.p,
                             cfg.precision)
     mats, period = orbit(branch, seed_matrix)
-    payload = orbit_to_dict(cfg.p, ns.kappa0, period, mats)
+    payload = orbit_to_dict(cfg.p, ns.cmd_kappa0, period, mats)
     lines = ["period %d" % period]
     lines.extend(_matrix_line(t, a) for t, a in enumerate(mats))
     return payload, "\n".join(lines)
@@ -412,7 +412,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cfg.output == "json":
         payload["schema_version"] = SCHEMA_VERSION
         text = dumps(payload)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left; keep the exit-time flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed early", file=sys.stderr)
+        return 1
     return 0
 
 

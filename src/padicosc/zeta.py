@@ -2,9 +2,10 @@
 
 Two independent routes to the same numbers.  The interpolation route is
 exact rational arithmetic: -(1 - p^(k-1)) B_k / k embedded into Q_p at
-branch-matched k.  The measure route Riemann-sums the integrand
-<x>^(-s) w(x)^(kappa0 - 1) over the units mod p^N against a regularized
-Bernoulli measure, then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
+branch-matched k, with B_k from integer zigzag (tangent) numbers.  The
+measure route Riemann-sums the integrand <x>^(-s) w(x)^(kappa0 - 1) over
+the units mod p^N against a regularized Bernoulli measure, then divides
+by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
 The unit sum runs over plain integers and sums against E_{1,r}, which is
 measure_value at the integer regulator r^-1 mod p^(digits + level).  Its
@@ -20,6 +21,7 @@ import threading
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Union
 
 from .errors import DomainError, PoleError, PrecisionExhaustedError
@@ -36,23 +38,30 @@ from .galois import Branch
 # -- Bernoulli numbers --------------------------------------------------
 
 _BERNOULLI: List[Fraction] = [Fraction(1)]
+_ZIGZAG: List[int] = [1]  # boustrophedon row n = len(_BERNOULLI) - 1
 _BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(k: int) -> Fraction:
-    """B_k by the recurrence sum_j C(m+1, j) B_j = 0 (so B_1 = -1/2).
+    """B_2m = (-1)^(m-1) 2m E_(2m-1) / (4^m (4^m - 1)), B_1 = -1/2.
 
-    The memo table is grown under a lock; reads of finished entries are
-    safe from any thread.
+    The zigzag number E_n ends row n of the Seidel-Entringer-Arnold
+    boustrophedon, the running sum of row n-1 reversed from 0, so all is
+    integer until the one division (Brent and Harvey, arXiv:1108.0286).
+    The table grows one index per row under a lock; reads are thread-safe.
     """
     if k < 0:
         raise DomainError("negative Bernoulli index")
     with _BERNOULLI_LOCK:
         while len(_BERNOULLI) <= k:
-            m = len(_BERNOULLI)
-            acc = sum(Fraction(math.comb(m + 1, j)) * _BERNOULLI[j]
-                      for j in range(m))
-            _BERNOULLI.append(-acc / (m + 1))
+            n = len(_BERNOULLI)
+            if n % 2:
+                _BERNOULLI.append(Fraction(-1, 2) if n == 1 else Fraction(0))
+            else:
+                four = 4 ** (n // 2)
+                _BERNOULLI.append(Fraction((n if n % 4 else -n) * _ZIGZAG[-1],
+                                           four * (four - 1)))
+            _ZIGZAG[:] = list(accumulate(reversed(_ZIGZAG), initial=0))
         return _BERNOULLI[k]
 
 

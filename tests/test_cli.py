@@ -1,10 +1,14 @@
 """End-to-end command tests: frozen outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
+import padicosc
 from padicosc.cli import RunConfig, main
 from padicosc.padics import PadicNumber
 from padicosc.serialization import (
@@ -220,6 +224,35 @@ def test_regulator_plus_minus_one_exit_1(capsys):
 def test_odd_branch_gated_exit_1(capsys):
     rc, _, err = run(capsys, "--p", "5", "--kappa0", "3", "zeta-interp", "3")
     assert rc == 1 and err.startswith("domain error") and "even" in err
+
+
+def test_orbit_argument_leaves_global_kappa0_alone(capsys):
+    # the positional is the orbit's branch; --kappa0 is still checked
+    rc, _, err = run(capsys, "--p", "5", "--kappa0", "7", "orbit", "2")
+    assert rc == 1 and err.startswith("config error") and "kappa0" in err
+
+    rc, _, err = run(capsys, "--p", "2", "orbit", "1")
+    assert rc == 1 and err.startswith("domain error")
+    assert "kappa0 must lie in [0, 0]" in err
+
+
+def test_closed_stdout_exit_1_without_traceback():
+    # a real process whose stdout pipe has no reader before it writes
+    src = os.path.dirname(os.path.dirname(padicosc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PADICOSC_CONFIG", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicosc.cli", "--p", "5", "orbit", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: stdout closed early\n"
 
 
 def test_help_exits_zero(capsys):

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from padicosc.errors import DomainError, PoleError, PrecisionExhaustedError
-from padicosc.padics import PadicNumber, is_prime, teichmuller, unit_power
+from padicosc.padics import (
+    PadicNumber,
+    is_prime,
+    teichmuller,
+    unit_power,
+    vp,
+)
 from padicosc.galois import Branch
 from padicosc.zeta import (
     MazurMeasure,
@@ -55,12 +61,33 @@ def test_bernoulli_odd_vanish():
 
 def test_bernoulli_von_staudt_clausen():
     # denominator of B_2k is the product of primes q with (q-1) | 2k
-    for k2 in range(2, 31, 2):
+    for k2 in range(2, 401, 2):
         expected = 1
         for q in range(2, k2 + 2):
             if is_prime(q) and k2 % (q - 1) == 0:
                 expected *= q
         assert bernoulli(k2).denominator == expected
+
+
+def recurrence_bernoulli(kmax):
+    """B_0..B_kmax by sum_j C(m+1, j) B_j = 0, in Fractions: an oracle
+    that shares nothing with the zigzag kernel."""
+    table = [Fraction(1)]
+    while len(table) <= kmax:
+        m = len(table)
+        acc = sum(math.comb(m + 1, j) * table[j] for j in range(m))
+        table.append(-acc / (m + 1))
+    return table
+
+
+def test_bernoulli_matches_recurrence_oracle():
+    for k, expected in enumerate(recurrence_bernoulli(300)):
+        assert bernoulli(k) == expected, k
+
+
+def test_bernoulli_known_large_value():
+    assert bernoulli(60) == Fraction(
+        -1215233140483755572040304994079820246041491, 56786730)
 
 
 # -- measure -------------------------------------------------------------
@@ -220,6 +247,23 @@ def test_interp_gates():
         zeta_interp(3, Branch(2, 0), 16)
     with pytest.raises(DomainError):
         zeta_interp(0, Branch(5, 0), 16)
+
+
+@pytest.mark.parametrize("p, kappa0, k", [
+    (5, 2, 2), (7, 4, 4), (3, 0, 2), (5, 0, 4), (7, 0, 6)])
+def test_interp_kummer_congruences(p, kappa0, k):
+    # k' = k mod (p-1) p^j: the values agree to exactly j+1 digits off
+    # the trivial branch; on it the pole at s = 1 costs two digits, and
+    # 1/k' costs v_p(k') more (possible only at j = 0, since p does not
+    # divide k)
+    branch = Branch(p, kappa0)
+    base = zeta_interp(k, branch, 30)
+    for j in range(3):
+        for t in (1, 2):
+            k2 = k + t * (p - 1) * p**j
+            expected = j + 1 if kappa0 else j - 1 - vp(k2, p)
+            got = diff_exponent(base, zeta_interp(k2, branch, 30))
+            assert got == expected, (k2, j)
 
 
 # -- measure route ---------------------------------------------------------
