@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 from typing import Optional
 
 from .errors import DomainError, PadicError, PrecisionExhaustedError
@@ -121,7 +122,7 @@ def n_minus(n: int, p: int) -> int:
     return n - ds[s] * p**s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicNumber:
     """Element of Q_p known to finite precision.
 
@@ -161,6 +162,22 @@ class PadicNumber:
         shift, u = _split(u, p)
         return cls(prime=p, valuation=valuation + shift, unit=u,
                    precision=precision - shift)
+
+    @classmethod
+    def _sum(cls, p: int, terms) -> "PadicNumber":
+        """The sum of terms (v, u, N), each u * p**v known mod p**N: one
+        scaled integer, known mod p**min(N), or the exact zero if empty."""
+        total, vmin, absprec = 0, inf, inf
+        for v, u, n in terms:
+            if v < vmin:
+                total *= p ** (vmin - v) if total else 1
+                vmin = v
+            total += u * p ** (v - vmin)
+            if n < absprec:
+                absprec = n
+        if absprec == inf:
+            return cls.zero(p)
+        return cls._make(p, vmin, total, absprec - vmin)
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -285,32 +302,28 @@ class PadicNumber:
         return PadicNumber(self.prime, self.valuation, (-self.unit) % m, self.precision)
 
     def __add__(self, other) -> "PadicNumber":
-        if isinstance(other, (int, Fraction)):
-            return self._add_exact(other)
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "PadicNumber":
+        return self._add(other, -1)
+
+    def _add(self, other, sign: int) -> "PadicNumber":
+        """self + sign * other for sign = +-1, canonicalized once."""
         if not isinstance(other, PadicNumber):
+            if isinstance(other, (int, Fraction)):
+                return self._add_exact(sign * other)
             return NotImplemented
         self._check_same_field(other)
         p = self.prime
         if self.is_exact_zero:
-            return other
+            return other if sign > 0 else -other
         if other.is_exact_zero:
             return self
-        n = min(self.abs_precision, other.abs_precision)
-        vmin = min(self.valuation, other.valuation)
-        m = n - vmin
-        if m <= 0:
-            return PadicNumber.zero(p, known_to=n)
-        total = (self.unit * p ** (self.valuation - vmin)
-                 + other.unit * p ** (other.valuation - vmin))
-        return PadicNumber._make(p, vmin, total, m)
-
-    def __radd__(self, other) -> "PadicNumber":
-        return self.__add__(other)
-
-    def __sub__(self, other) -> "PadicNumber":
-        if not isinstance(other, (int, Fraction, PadicNumber)):
-            return NotImplemented
-        return self + (-other)
+        sv, ov = self.valuation, other.valuation
+        return PadicNumber._sum(p, ((sv, self.unit, sv + self.precision),
+                                    (ov, sign * other.unit, ov + other.precision)))
 
     def __rsub__(self, other) -> "PadicNumber":
         return (-self).__add__(other)
@@ -346,17 +359,20 @@ class PadicNumber:
         return self.__mul__(other)
 
     def _mul_exact(self, num: int, den: int) -> "PadicNumber":
-        """Multiply by num/den (den nonzero); relative precision is preserved."""
+        """Multiply by num/den (den nonzero); relative precision is preserved.
+        The unit is multiplied by num's unit directly, and by the inverse
+        of den's only when den is not 1, as for every int scalar."""
         p = self.prime
         if num == 0:
             return PadicNumber.zero(p)
         if self.is_exact_zero:
             return self
-        vn, nu = _split(num, p)
-        vd, du = _split(den, p)
+        v, u = _split(num, p)
         m = self.precision
-        return PadicNumber._make(p, self.valuation + vn - vd,
-                                 self.unit * nu * pow(du, -1, p**m), m)
+        if den != 1:
+            vd, du = _split(den, p)
+            v, u = v - vd, u * pow(du, -1, p**m)
+        return PadicNumber._make(p, self.valuation + v, self.unit * u, m)
 
     def __truediv__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):

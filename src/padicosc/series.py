@@ -9,19 +9,26 @@ Evaluation returns the exact value of the truncated sum; the tail bound
 is bookkeeping for how far that sum can be trusted as a stand-in for an
 underlying infinite expansion, and it travels with the series objects
 rather than being folded into evaluated values.
+
+Evaluation sums (valuation, unit, absprec) parts as one integer and
+canonicalizes once.  The value at x is known modulo p**N, N the min
+over terms of absprec(c_n) + v(P_n(x)) and absprec(P_n(x)) + v(c_n);
+P_0 = 1 and P_n at an integer point are exact (no second bound), and
+exact-zero coefficients and values P_n(k) = 0 drop out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, inf
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _split,
     hensel_digits,
     n_minus,
     vp_factorial,
@@ -54,28 +61,23 @@ class _SeriesBase:
     def truncation(self) -> int:
         return len(self.coefficients)
 
-    def _combine(self, other, signs) -> tuple:
+    def _combine(self, other, subtract: bool):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.prime != other.prime:
             raise DomainError("prime mismatch")
         if self.truncation != other.truncation:
             raise DomainError("truncation mismatch")
-        sa, sb = signs
-        coeffs = tuple((a if sa > 0 else -a) + (b if sb > 0 else -b)
+        coeffs = tuple(a - b if subtract else a + b
                        for a, b in zip(self.coefficients, other.coefficients))
-        return coeffs, _min_exponent(self.tail_bound_exponent,
-                                     other.tail_bound_exponent)
+        tail = _min_exponent(self.tail_bound_exponent, other.tail_bound_exponent)
+        return replace(self, coefficients=coeffs, tail_bound_exponent=tail)
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        coeffs, tail = self._combine(other, (1, 1))
-        return replace(self, coefficients=coeffs, tail_bound_exponent=tail)
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        coeffs, tail = self._combine(other, (1, -1))
-        return replace(self, coefficients=coeffs, tail_bound_exponent=tail)
+        return self._combine(other, True)
 
     def __neg__(self):
         return replace(self, coefficients=tuple(-c for c in self.coefficients))
@@ -110,6 +112,37 @@ def mahler_basis_eval_int(n: int, x: int) -> int:
     return (-1) ** n * comb(n - x - 1, n)
 
 
+def _basis_values(x: PadicNumber, count: int):
+    """Yield P_n(x) for n < count as (valuation, unit, absprec), P_0 = 1
+    exact (absprec None) and nothing after it at the exact zero.  The
+    falling product mod p**absprec(x) and the unit part of n! carry from
+    n to n+1; dividing by n! costs v_p(n!) digits of absprec."""
+    p = x.prime
+    if not x.is_zero and x.valuation < 0:
+        raise DomainError("P_n is defined on Z_p")
+    nx, top = x.abs_precision, count - 1
+    if not x.is_exact_zero and top and nx <= vp_factorial(top, p):
+        raise PrecisionExhaustedError(
+            "evaluating P_%d needs x mod %d**%d (v_p(%d!) + 1 digits), "
+            "x is known mod %d**%d"
+            % (top, p, vp_factorial(top, p) + 1, top, p, nx))
+    yield 0, 1, None
+    if x.is_exact_zero or top < 1:
+        return
+    mod, xres = p**nx, x.residue(nx)
+    prod, fact_unit, v = 1, 1, 0        # v = v_p(n!)
+    for n in range(1, count):
+        k, w = _split(n, p)
+        v += k
+        m = nx - v
+        prod = prod * (xres - n + 1) % mod
+        fact_unit = fact_unit * w % mod
+        # the true product is divisible by p**v because binomials of
+        # p-adic integers are p-adic integers
+        c = prod // p**v * pow(fact_unit, -1, p**m) % p**m
+        yield (*_split(c, p), m) if c else (m, 0, m)
+
+
 def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
     """P_n(x) = x(x-1)...(x-n+1)/n! for x in Z_p.
 
@@ -118,8 +151,7 @@ def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
     many extra digits when full precision is needed.
     """
     p = x.prime
-    if not x.is_zero and x.valuation < 0:
-        raise DomainError("P_n is defined on Z_p")
+    *_, (v, u, m) = _basis_values(x, n + 1)
     if n == 0:
         if x.is_zero:
             m = x.known_to if x.known_to is not None else DEFAULT_PRECISION
@@ -128,31 +160,31 @@ def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
         return PadicNumber.one(p, max(m, 1))
     if x.is_exact_zero:
         return PadicNumber.zero(p)          # binomial(0, n) = 0 for n >= 1
-    nx = x.abs_precision
-    v = vp_factorial(n, p)
-    if nx - v <= 0:
-        raise PrecisionExhaustedError(
-            "evaluating P_%d needs more than %d digits of x" % (n, nx))
-    mod = p**nx
-    xres = x.residue(nx)
-    prod = 1
-    for j in range(n):
-        prod = prod * (xres - j) % mod
-    # the true product is divisible by p**v because binomials of p-adic
-    # integers are p-adic integers
-    w = factorial(n) // p**v
-    c = prod // p**v * pow(w, -1, p ** (nx - v)) % p ** (nx - v)
-    return PadicNumber._make(p, 0, c, nx - v)
+    return PadicNumber._make(p, v, u, m - v)
 
 
 def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
-    """Value of the truncated sum at x; exact integer points cost nothing."""
-    basis = mahler_basis_eval_int if isinstance(x, int) else mahler_basis_eval
-    acc = PadicNumber.zero(f.prime)
-    for n, c in enumerate(f.coefficients):
+    """Value of the truncated sum at x (precision: module docstring)."""
+    p, coeffs = f.prime, f.coefficients
+    terms = []
+    if isinstance(x, int):
+        for n, c in enumerate(coeffs):
+            b = 0 if c.is_exact_zero else mahler_basis_eval_int(n, x)
+            if b:
+                v, u = _split(b, p)
+                vc = c.valuation
+                terms.append((vc + v, c.unit * u, vc + c.precision + v))
+        return PadicNumber._sum(p, terms)
+    top = max((n + 1 for n, c in enumerate(coeffs) if not c.is_exact_zero),
+              default=0)
+    if top and x.prime != p:
+        raise DomainError("prime mismatch: %d vs %d" % (p, x.prime))
+    for c, (v, u, m) in zip(coeffs[:top], _basis_values(x, top)):
         if not c.is_exact_zero:
-            acc = acc + c * basis(n, x)
-    return acc
+            vc = c.valuation
+            n = vc + c.precision + v
+            terms.append((vc + v, c.unit * u, n if m is None else min(n, m + vc)))
+    return PadicNumber._sum(p, terms)
 
 
 def mahler_expand(samples: Sequence[PadicNumber], truncation: Optional[int] = None) -> MahlerSeries:
@@ -169,13 +201,18 @@ def mahler_expand(samples: Sequence[PadicNumber], truncation: Optional[int] = No
     if truncation < 1 or len(samples) < truncation:
         raise DomainError("need at least %d consecutive samples" % truncation)
     p = samples[0].prime
-    diffs = []
-    row = samples
-    while row:
-        diffs.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    window = diffs[truncation:]
-    tail = _min_exponent(*(w.norm_bound_exponent() for w in window)) if window else None
+    # the difference table on integers scaled to p**vmin, each entry with
+    # the min absprec of the samples under it (inf: all exact zeros)
+    vmin = min((s.valuation for s in samples if not s.is_exact_zero), default=0)
+    row = [(0, inf) if s.is_exact_zero
+           else (s.unit * p ** (s.valuation - vmin), s.valuation + s.precision)
+           for s in samples]
+    diffs = [samples[0]]
+    while len(row) > 1:
+        row = [(b - a, min(na, nb)) for (a, na), (b, nb) in zip(row, row[1:])]
+        d, n = row[0]
+        diffs.append(PadicNumber._sum(p, [(vmin, d, n)]))
+    tail = _min_exponent(*(w.norm_bound_exponent() for w in diffs[truncation:]))
     return MahlerSeries(prime=p, coefficients=tuple(diffs[:truncation]),
                         tail_bound_exponent=tail)
 
@@ -214,14 +251,10 @@ def vdp_basis_eval(n: int, x: Point, p: Optional[int] = None) -> int:
 
 
 def vdp_eval(g: VanDerPutSeries, x: Point) -> PadicNumber:
-    p = g.prime
-    acc = PadicNumber.zero(p)
-    for n, v in enumerate(g.coefficients):
-        if v.is_exact_zero:
-            continue
-        if vdp_basis_eval(n, x, p):
-            acc = acc + v
-    return acc
+    return PadicNumber._sum(g.prime, (
+        (v.valuation, v.unit, v.valuation + v.precision)
+        for n, v in enumerate(g.coefficients)
+        if not v.is_exact_zero and vdp_basis_eval(n, x, g.prime)))
 
 
 def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:

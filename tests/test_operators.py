@@ -6,9 +6,10 @@ import random
 import pytest
 
 from padicosc.errors import DomainError, PrecisionExhaustedError
-from padicosc.padics import PadicNumber
+from padicosc.padics import PadicNumber, vp
 from padicosc.series import MahlerSeries, basis_vector, mahler_eval, mahler_expand
 from padicosc.operators import (
+    RULES,
     OperatorMatrix,
     apply_lowering,
     apply_raising,
@@ -24,6 +25,7 @@ from padicosc.operators import (
     matrices_agree,
     OPERATOR_NAMES,
 )
+from test_series import edge_padic, min_exponent, oracle_add, oracle_times
 
 
 def ints(p, values, precision=16):
@@ -322,3 +324,61 @@ def test_kernel_treats_small_marker_as_zero():
     basis = kernel_solve(mat)
     assert len(basis) == 1
     assert only_index(basis[0], 0)
+
+
+# -- the rules against term-by-term PadicNumber arithmetic ---------------
+#
+# The oracle is the object-arithmetic rule, with the two-term addition
+# and int scaling formulas of test_series' oracles.
+
+
+def oracle_apply(op, f):
+    shift, weight = RULES[op]
+    p, m = f.prime, f.truncation
+    coeffs = []
+    for i in range(m):
+        n = i - shift
+        if n < 0:
+            coeffs.append(PadicNumber.zero(p))
+        elif n >= m:
+            coeffs.append(PadicNumber.zero(p, known_to=f.tail_bound_exponent))
+        else:
+            w, c = weight(n), f.coefficients[n]
+            coeffs.append(c if w == 1 else oracle_times(c, w))
+    tail = f.tail_bound_exponent
+    for n in range(m - shift, m):
+        spill = f.coefficients[n].norm_bound_exponent()
+        tail = min_exponent(tail, None if spill is None
+                            else spill + vp(weight(n), p))
+    return MahlerSeries(prime=p, coefficients=tuple(coeffs),
+                        tail_bound_exponent=tail)
+
+
+def oracle_minus(f, g):
+    return MahlerSeries(
+        prime=f.prime,
+        coefficients=tuple(oracle_add(a, -b) for a, b in zip(f.coefficients,
+                                                              g.coefficients)),
+        tail_bound_exponent=min_exponent(f.tail_bound_exponent,
+                                         g.tail_bound_exponent))
+
+
+def oracle_commutator_defect(f):
+    up_down = oracle_apply("lowering", oracle_apply("raising", f))
+    down_up = oracle_apply("raising", oracle_apply("lowering", f))
+    return oracle_minus(oracle_minus(up_down, down_up), f)
+
+
+def test_rules_match_object_arithmetic_oracle():
+    rng = random.Random(909)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        m = rng.randrange(1, 2 * p + 3)
+        f = MahlerSeries(prime=p,
+                         coefficients=tuple(edge_padic(rng, p) for _ in range(m)),
+                         tail_bound_exponent=rng.choice(
+                             (None, rng.randrange(-2, 9))))
+        assert apply_raising(f) == oracle_apply("raising", f)
+        assert apply_lowering(f) == oracle_apply("lowering", f)
+        assert hamiltonian(f) == oracle_apply("hamiltonian", f)
+        assert commutator_defect(f) == oracle_commutator_defect(f)

@@ -3,12 +3,13 @@
 import math
 import random
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from padicosc.errors import DomainError, PrecisionExhaustedError
-from padicosc.padics import PadicNumber
+from padicosc.padics import PadicNumber, n_minus, vp, vp_factorial
 from padicosc.series import (
     MahlerSeries,
     VanDerPutSeries,
@@ -100,6 +101,10 @@ def test_basis_eval_precision_exhaustion():
     x = PadicNumber.from_int(3, 2, 2)   # 2 known digits, P_4 costs v_2(4!) = 3
     with pytest.raises(PrecisionExhaustedError):
         mahler_basis_eval(4, x)
+    # the error names n, the digits needed and the digits x has
+    with pytest.raises(PrecisionExhaustedError,
+                       match=r"P_4 needs x mod 2\*\*4 .*known mod 2\*\*2$"):
+        mahler_basis_eval(4, x)
 
 
 # -- Mahler evaluation and expansion ------------------------------------
@@ -111,6 +116,18 @@ def test_eval_single_basis_coefficient():
     assert mahler_eval(f, 3).agrees_with(PadicNumber.from_int(3, p, 16))
     x = PadicNumber.from_int(3, p, 16)
     assert mahler_eval(f, x).agrees_with(PadicNumber.from_int(3, p, 16))
+
+
+def test_eval_keeps_c0_precision_at_padic_points():
+    # P_0 = 1 exactly: the c_0 term keeps c_0's 40 digits, so 3 + 7 P_1
+    # at x = 2*5^2 + O(5^12) is known mod 5^12, as every term is
+    p = 5
+    f = MahlerSeries(prime=p, coefficients=tuple(ints(p, [3, 7], 40)))
+    value = mahler_eval(f, PadicNumber.from_int(50, p, 10))
+    assert value == PadicNumber.from_int(353, p, 12)
+    # at the exact-zero point the value is c_0 itself, as at the integer 0
+    assert mahler_eval(f, PadicNumber.zero(p)) == mahler_eval(f, 0) \
+        == PadicNumber.from_int(3, p, 40)
 
 
 def test_eval_constant():
@@ -310,3 +327,203 @@ def test_polynomial_roundtrip_exact():
             f = random_unit_series(rng, p, 6)
             back = convert_back(convert(f))
             assert back.coefficients == f.coefficients
+
+
+# -- integer kernels against term-by-term PadicNumber arithmetic --------
+#
+# The oracles are the object-arithmetic algorithms the integer kernels
+# replaced, with one fix: P_0 = 1 exactly, so at a p-adic point the c_0
+# term keeps c_0's own precision, as it does at an integer point.  They
+# add with the two-term formula and scale by an int with the num/den
+# formula that PadicNumber used before, and subtract as a + (-b), so
+# the shared sum, the direct subtraction and the int scaling are all
+# checked against code they do not share.
+
+
+def oracle_add(a, b):
+    if a.is_exact_zero:
+        return b
+    if b.is_exact_zero:
+        return a
+    p = a.prime
+    n = min(a.abs_precision, b.abs_precision)
+    vmin = min(a.valuation, b.valuation)
+    if n - vmin <= 0:
+        return PadicNumber.zero(p, known_to=n)
+    total = (a.unit * p ** (a.valuation - vmin)
+             + b.unit * p ** (b.valuation - vmin))
+    return PadicNumber._make(p, vmin, total, n - vmin)
+
+
+def oracle_times(c, k):
+    """c * k for an int k, through the inverse of the denominator 1."""
+    p = c.prime
+    if k == 0:
+        return PadicNumber.zero(p)
+    if c.is_exact_zero:
+        return c
+    v = vp(k, p)
+    m = c.precision
+    return PadicNumber._make(p, c.valuation + v,
+                             c.unit * (k // p**v) * pow(1, -1, p**m), m)
+
+
+def oracle_basis_eval(n, x):
+    p = x.prime
+    if not x.is_zero and x.valuation < 0:
+        raise DomainError("P_n is defined on Z_p")
+    if n == 0:
+        if x.is_zero:
+            m = x.known_to if x.known_to is not None else 32
+        else:
+            m = x.precision
+        return PadicNumber.one(p, max(m, 1))
+    if x.is_exact_zero:
+        return PadicNumber.zero(p)
+    nx = x.abs_precision
+    v = vp_factorial(n, p)
+    if nx - v <= 0:
+        raise PrecisionExhaustedError("P_%d" % n)
+    mod = p**nx
+    xres = x.residue(nx)
+    prod = 1
+    for j in range(n):
+        prod = prod * (xres - j) % mod
+    w = math.factorial(n) // p**v
+    c = prod // p**v * pow(w, -1, p ** (nx - v)) % p ** (nx - v)
+    return PadicNumber._make(p, 0, c, nx - v)
+
+
+def oracle_eval(f, x):
+    acc = PadicNumber.zero(f.prime)
+    for n, c in enumerate(f.coefficients):
+        if c.is_exact_zero:
+            continue
+        if isinstance(x, int):
+            acc = oracle_add(acc, oracle_times(c, mahler_basis_eval_int(n, x)))
+        else:
+            b = oracle_basis_eval(n, x)
+            acc = oracle_add(acc, c if n == 0 else c * b)
+    return acc
+
+
+def min_exponent(*exponents):
+    return min((e for e in exponents if e is not None), default=None)
+
+
+def oracle_expand(samples, truncation):
+    diffs, row = [], list(samples)
+    while row:
+        diffs.append(row[0])
+        row = [oracle_add(b, -a) for a, b in zip(row, row[1:])]
+    tail = min_exponent(*(w.norm_bound_exponent()
+                          for w in diffs[truncation:]))
+    return MahlerSeries(prime=samples[0].prime,
+                        coefficients=tuple(diffs[:truncation]),
+                        tail_bound_exponent=tail)
+
+
+def oracle_vdp_eval(g, x):
+    acc = PadicNumber.zero(g.prime)
+    for n, v in enumerate(g.coefficients):
+        if not v.is_exact_zero and vdp_basis_eval(n, x, g.prime):
+            acc = oracle_add(acc, v)
+    return acc
+
+
+def oracle_vdp_expand(samples):
+    p = samples[0].prime
+    coeffs = [samples[0]] + [oracle_add(samples[n], -samples[n_minus(n, p)])
+                             for n in range(1, len(samples))]
+    return VanDerPutSeries(prime=p, coefficients=tuple(coeffs))
+
+
+def oracle_convert(f):
+    g = oracle_vdp_expand([oracle_eval(f, k) for k in range(f.truncation)])
+    return VanDerPutSeries(prime=f.prime, coefficients=g.coefficients,
+                           tail_bound_exponent=min_exponent(
+                               f.tail_bound_exponent, sup_norm_exponent(f)))
+
+
+def oracle_convert_back(g):
+    m = g.truncation
+    f = oracle_expand([oracle_vdp_eval(g, k) for k in range(m)], m)
+    return MahlerSeries(prime=g.prime, coefficients=f.coefficients,
+                        tail_bound_exponent=min_exponent(
+                            g.tail_bound_exponent, sup_norm_exponent(g)))
+
+
+def edge_padic(rng, p):
+    """Exact zeros, zero markers O(p^k) with k <= 0 and k > 0, and
+    nonzero values of negative, zero and positive valuation."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PadicNumber.zero(p)
+    if kind == 1:
+        return PadicNumber.zero(p, known_to=rng.randrange(-3, 7))
+    prec = rng.randrange(1, 13)
+    u = rng.randrange(1, p**prec)
+    while u % p == 0:
+        u = rng.randrange(1, p**prec)
+    return PadicNumber(prime=p, valuation=rng.randrange(-3, 5), unit=u,
+                       precision=prec)
+
+
+def edge_points(rng, p, m):
+    """Integers below 0, inside 0..M-1, at and above M, and large; p-adic
+    points of valuation 0..4 (some too short for P_{M-1}), zero markers,
+    the exact zero and points outside Z_p."""
+    points = [rng.randrange(-12, 0), rng.randrange(m), rng.randrange(m, m + 20),
+              rng.randrange(p**12)]
+    for v in (0, rng.randrange(1, 5)):
+        prec = rng.randrange(1, 10)
+        points.append(PadicNumber.from_int(rng.randrange(1, p**prec) * p**v,
+                                           p, v + prec))
+    points.append(PadicNumber.zero(p, known_to=rng.randrange(-2, 9)))
+    points.append(PadicNumber.zero(p))
+    points.append(PadicNumber.from_rational(rng.randrange(1, 50), p, p, 6))
+    return points
+
+
+def outcome(fn, *args):
+    """The repr of the result, which also tells an int unit from a float
+    one, or the type of the precision or domain error raised."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, PrecisionExhaustedError) as exc:
+        return type(exc)
+
+
+def test_kernels_match_object_arithmetic_oracle():
+    rng = random.Random(808)
+    raised = Counter()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        m = rng.randrange(1, 9)
+        coeffs = tuple(edge_padic(rng, p) for _ in range(m))
+        tail = rng.choice((None, rng.randrange(-2, 9)))
+        f = MahlerSeries(prime=p, coefficients=coeffs, tail_bound_exponent=tail)
+        g = VanDerPutSeries(prime=p, coefficients=coeffs,
+                            tail_bound_exponent=tail)
+        for x in edge_points(rng, p, m):
+            want = outcome(oracle_eval, f, x)
+            assert outcome(mahler_eval, f, x) == want, (f, x)
+            raised[want if isinstance(want, type) else "value"] += 1
+            assert outcome(vdp_eval, g, x) == outcome(oracle_vdp_eval, g, x)
+            if isinstance(x, PadicNumber):
+                for n in range(m + 1):
+                    assert (outcome(mahler_basis_eval, n, x)
+                            == outcome(oracle_basis_eval, n, x)), (n, x)
+        samples = list(coeffs) + [edge_padic(rng, p)
+                                  for _ in range(rng.randrange(3))]
+        # the same values times p**4: every valuation positive, beside
+        # exact zeros of valuation 0
+        deep = [s * p**4 for s in samples]
+        for s in (samples, deep):
+            assert outcome(mahler_expand, s, m) == outcome(oracle_expand, s, m)
+            assert outcome(vdp_expand, s) == outcome(oracle_vdp_expand, s)
+        assert outcome(convert, f) == outcome(oracle_convert, f)
+        assert outcome(convert_back, g) == outcome(oracle_convert_back, g)
+    assert raised[PrecisionExhaustedError] > 40
+    assert raised[DomainError] > 100
+    assert raised["value"] > 1000
