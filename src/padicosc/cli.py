@@ -33,8 +33,8 @@ from .errors import (
 from .padics import PadicNumber, angle, is_prime, teichmuller
 from .series import MahlerSeries, mahler_expand, vdp_expand
 from .operators import (
-    APPLY,
     OPERATOR_NAMES,
+    _apply_rule,
     as_matrix,
     commutator_defect,
     kernel_solve,
@@ -238,7 +238,7 @@ def _cmd_apply(ns, cfg: RunConfig) -> Tuple[dict, str]:
     f = parse_series_file(read_text_file(ns.path))
     if not isinstance(f, MahlerSeries):
         raise DomainError("apply works on mahler-basis series, got basis vdp")
-    return _series_result(APPLY[ns.op](f))
+    return _series_result(_apply_rule(ns.op, f))
 
 
 def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:

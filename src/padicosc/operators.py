@@ -2,19 +2,24 @@
 
 Each operator is one (shift, weight) rule: it sends P_n to weight(n)
 P_{n+shift}.  Raising is (+1, n+1), lowering (-1, 1), killing P_0, and
-H = a+ a- is (0, n).  The series form (apply_*) and the matrix form
-(as_matrix) both derive from the rule.  On a truncation window of
-length M the series form loses nothing silently: a coefficient pushed
-past index M-1 is folded into the tail bound, and a slot pulled from
-index M comes back as a zero marker at the tail exponent.  The
-commutation identity [a-, a+] = 1 therefore holds on indices 0..M-2 by
-contract, with index M-1 a truncation artifact.
+H = a+ a- is (0, n).  Only the series form (apply_*) applies or
+composes operators.  On a truncation window of length M it loses
+nothing silently: a coefficient pushed past index M-1 is folded into
+the tail bound, and a slot pulled from index M comes back as a zero
+marker at the tail exponent.  The commutation identity [a-, a+] = 1
+therefore holds on indices 0..M-2 by contract, with index M-1 a
+truncation artifact.
+
+The matrix form (as_matrix) is the rule restricted to the window, for
+kernel_solve, the cyclic orbit and serialization.  It has no tail, so
+it neither applies nor composes: either would certify zeros that the
+window cannot see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import PadicNumber, vp
@@ -76,19 +81,12 @@ def commutator_defect(f: MahlerSeries) -> MahlerSeries:
     return apply_lowering(apply_raising(f)) - apply_raising(apply_lowering(f)) - f
 
 
-APPLY = {
-    "raising": apply_raising,
-    "lowering": apply_lowering,
-    "hamiltonian": hamiltonian,
-}
-
-
 # -- matrix form -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Sparse M x M matrix over Q_p acting on Mahler coefficient vectors.
+    """Sparse M x M matrix over Q_p on the Mahler coefficient window.
 
     entries holds (row, col, value) triplets sorted by position, without
     explicit zeros; precision records the minimum relative precision
@@ -99,9 +97,6 @@ class OperatorMatrix:
     dimension: int
     entries: tuple
     precision: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def from_dict(cls, p: int, dimension: int,
@@ -120,24 +115,15 @@ class OperatorMatrix:
         return all(v.is_zero for _, _, v in self.entries)
 
 
-def as_matrix(op: Union[str, Sequence[str]], dimension: int, p: int,
+def as_matrix(op: str, dimension: int, p: int,
               precision: int) -> OperatorMatrix:
-    """Matrix of a named operator, or of a composition given as a list
-    (applied right to left, i.e. matrix product in list order)."""
-    if isinstance(op, str):
-        if op not in RULES:
-            raise DomainError("unknown operator %r" % op)
-        shift, weight = RULES[op]
-        entries = {(n + shift, n): PadicNumber.from_int(weight(n), p, precision)
-                   for n in range(dimension) if 0 <= n + shift < dimension}
-        return OperatorMatrix.from_dict(p, dimension, entries, precision)
-    mats = [as_matrix(name, dimension, p, precision) for name in op]
-    if not mats:
-        return identity_matrix(p, dimension, precision)
-    out = mats[0]
-    for m in mats[1:]:
-        out = mat_mul(out, m)
-    return out
+    """The named operator's rule restricted to the M x M window."""
+    if op not in RULES:
+        raise DomainError("unknown operator %r" % op)
+    shift, weight = RULES[op]
+    entries = {(n + shift, n): PadicNumber.from_int(weight(n), p, precision)
+               for n in range(dimension) if 0 <= n + shift < dimension}
+    return OperatorMatrix.from_dict(p, dimension, entries, precision)
 
 
 def identity_matrix(p: int, dimension: int, precision: int) -> OperatorMatrix:
@@ -163,42 +149,6 @@ def mat_add(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def mat_scale(scalar, a: OperatorMatrix) -> OperatorMatrix:
     out = {pos: scalar * v for pos, v in a.to_dict().items()}
     return OperatorMatrix.from_dict(a.prime, a.dimension, out, a.precision)
-
-
-def mat_mul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    _check_compatible(a, b)
-    by_row: Dict[int, List[Tuple[int, PadicNumber]]] = {}
-    for i, k, v in a.entries:
-        by_row.setdefault(i, []).append((k, v))
-    by_col_of_b: Dict[int, List[Tuple[int, PadicNumber]]] = {}
-    for k, j, v in b.entries:
-        by_col_of_b.setdefault(k, []).append((j, v))
-    out: Dict[Tuple[int, int], PadicNumber] = {}
-    for i, row in by_row.items():
-        for k, va in row:
-            for j, vb in by_col_of_b.get(k, ()):
-                prod = va * vb
-                pos = (i, j)
-                out[pos] = out[pos] + prod if pos in out else prod
-    return OperatorMatrix.from_dict(a.prime, a.dimension, out,
-                                    min(a.precision, b.precision))
-
-
-def mat_apply(a: OperatorMatrix, f: MahlerSeries) -> MahlerSeries:
-    """Matrix action on the coefficient vector.
-
-    The matrix keeps only the rule's entries inside the window, so it
-    matches the apply_* functions except where they use the tail: a slot
-    pulled from index M stays exactly zero here, and the tail bound is
-    passed through without folding in what is pushed past index M-1."""
-    if a.prime != f.prime or a.dimension != f.truncation:
-        raise DomainError("matrix does not fit the series")
-    p = a.prime
-    coeffs = [PadicNumber.zero(p) for _ in range(a.dimension)]
-    for i, j, v in a.entries:
-        coeffs[i] = coeffs[i] + v * f.coefficients[j]
-    return MahlerSeries(prime=p, coefficients=tuple(coeffs),
-                        tail_bound_exponent=f.tail_bound_exponent)
 
 
 def matrices_agree(a: OperatorMatrix, b: OperatorMatrix) -> bool:

@@ -51,11 +51,7 @@ def vp(n: int, p: int) -> int:
 
 
 def digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
+    return sum(hensel_digits(n, p))
 
 
 def vp_factorial(n: int, p: int) -> int:
@@ -88,18 +84,7 @@ def is_primitive_root(g: int, p: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Trial division; all primes used here are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == [n]
 
 
 def hensel_digits(n: int, p: int) -> tuple:

@@ -111,6 +111,15 @@ def padic_from_dict(d: Any, what: str = "number") -> PadicNumber:
     return PadicNumber(prime=p, valuation=v, unit=unit, precision=n)
 
 
+def _number_at_prime(rec: Any, p: int, what: str) -> PadicNumber:
+    """A number record that must carry the header prime p."""
+    x = padic_from_dict(rec, what)
+    if x.prime != p:
+        raise InputFormatError(
+            "%s: prime %d != header p = %d" % (what, x.prime, p))
+    return x
+
+
 def padic_to_text(x: PadicNumber) -> str:
     """Human form: "...d2 d1 d0 . p^v + O(p^(v+N))", high digits first."""
     if x.is_exact_zero:
@@ -154,14 +163,8 @@ def series_from_dict(d: Any) -> Union[MahlerSeries, VanDerPutSeries]:
     if m != len(coeffs):
         raise InputFormatError(
             "%s: M = %r does not match %d coefficients" % (what, m, len(coeffs)))
-    parsed = []
-    for i, c in enumerate(coeffs):
-        x = padic_from_dict(c, "%s coefficient %d" % (what, i))
-        if x.prime != p:
-            raise InputFormatError(
-                "%s coefficient %d: prime %d != header p = %d"
-                % (what, i, x.prime, p))
-        parsed.append(x)
+    parsed = [_number_at_prime(c, p, "%s coefficient %d" % (what, i))
+              for i, c in enumerate(coeffs)]
     tail = _get_opt_int(d, "tail_bound_exponent", what)
     return _BASIS_CLASSES[basis](prime=p, coefficients=tuple(parsed),
                                  tail_bound_exponent=tail)
@@ -216,13 +219,8 @@ def parse_samples_file(text: str) -> Tuple[int, List[PadicNumber]]:
     what = "samples file"
     records = _records(text, what)
     _, p, m = _check_header(records[0], what + " header", (_SAMPLES_TOKEN,))
-    values = []
-    for i, rec in enumerate(records[1:]):
-        x = padic_from_dict(rec, "%s value %d" % (what, i))
-        if x.prime != p:
-            raise InputFormatError(
-                "%s value %d: prime %d != header p = %d" % (what, i, x.prime, p))
-        values.append(x)
+    values = [_number_at_prime(rec, p, "%s value %d" % (what, i))
+              for i, rec in enumerate(records[1:])]
     if m != len(values):
         raise InputFormatError(
             "%s: header M = %d but %d values follow" % (what, m, len(values)))
@@ -269,11 +267,8 @@ def matrix_from_dict(d: Any) -> OperatorMatrix:
         if (i, j) in entries:
             raise InputFormatError(
                 "%s row %d: duplicate position (%d, %d)" % (what, k, i, j))
-        v = padic_from_dict(rec, "%s row %d value" % (what, k))
-        if v.prime != p:
-            raise InputFormatError(
-                "%s row %d: prime %d != header p = %d" % (what, k, v.prime, p))
-        entries[(i, j)] = v
+        entries[(i, j)] = _number_at_prime(
+            rec, p, "%s row %d value" % (what, k))
     return OperatorMatrix.from_dict(p, m, entries, DEFAULT_PRECISION)
 
 

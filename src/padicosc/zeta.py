@@ -125,10 +125,8 @@ class MazurMeasure:
 
 def total_mass(regulator: int, p: int,
                precision: Optional[int] = None) -> PadicNumber:
-    """mu(Z_p) = (1 - r)/(2r), the same at every level."""
-    _validate_regulator(regulator, p)
-    n = DEFAULT_PRECISION if precision is None else precision
-    return PadicNumber.from_rational(1 - regulator, 2 * regulator, p, n)
+    """mu(Z_p) = (1 - r)/(2r), the same at every level: the level-0 disc."""
+    return measure_value(0, 0, regulator, p, precision)
 
 
 def integrate_units(g: Callable[[int], PadicNumber], level: int,

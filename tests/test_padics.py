@@ -14,7 +14,9 @@ from padicosc.errors import DomainError, PadicError, PrecisionExhaustedError
 from padicosc.padics import (
     PadicNumber,
     angle,
+    digit_sum,
     hensel_digits,
+    is_prime,
     n_minus,
     teichmuller,
     unit_power,
@@ -57,11 +59,26 @@ def test_vp_and_factorial_valuation():
 
 
 def test_vp_factorial_rejects_negative():
-    # digit_sum of a negative n would stick at -1 and never return
     for n in (-1, -3, -100):
         with pytest.raises(DomainError):
             vp_factorial(n, 5)
     assert vp_factorial(0, 5) == 0
+
+
+def test_digit_sum_examples_and_negative():
+    assert digit_sum(0, 5) == 0
+    assert digit_sum(12, 2) == 2
+    assert digit_sum(124, 5) == 12
+    # a negative n has no finite base-p expansion
+    for n in (-1, -7):
+        with pytest.raises(DomainError):
+            digit_sum(n, 5)
+
+
+def test_is_prime_small_range():
+    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+    assert [n for n in range(-5, 50) if is_prime(n)] == sorted(primes)
+    assert is_prime(7919) and not is_prime(7917)
 
 
 def test_hensel_digits_examples():

@@ -131,6 +131,17 @@ def test_measure_distribution_property():
         assert fine.refined_by(finest)
 
 
+def test_total_mass_closed_form():
+    # mu(Z_p) = (1 - r)/(2r), computed here without measure_value
+    for p in (2, 3, 5, 7):
+        for r in (2, 3, 4, -2, 5, 11):
+            if r % p == 0:
+                continue
+            for n in (1, 5, 16):
+                want = PadicNumber.from_rational(1 - r, 2 * r, p, n)
+                assert total_mass(r, p, n) == want, (p, r, n)
+
+
 def test_measure_total_mass_level_independent():
     for p, r in [(5, 2), (3, 4), (2, 3)]:
         want = total_mass(r, p, 16)
