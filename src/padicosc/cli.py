@@ -349,6 +349,8 @@ def _cmd_zeta_measure(ns, cfg: RunConfig) -> Tuple[dict, str]:
 
 
 def _cmd_zeta_table(ns, cfg: RunConfig) -> Tuple[dict, str]:
+    if ns.kmax < 1:
+        raise _UsageError("kmax must be positive, got %d" % ns.kmax)
     branch = Branch(cfg.p, cfg.kappa0)
     torsion = _torsion_order(cfg.p)
     rows = []

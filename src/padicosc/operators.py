@@ -10,6 +10,10 @@ marker at the tail exponent.  The commutation identity [a-, a+] = 1
 therefore holds on indices 0..M-2 by contract, with index M-1 a
 truncation artifact.
 
+The rule acts on integer rows (valuation, unit, absprec), None for the
+exact zero, canonicalized once per output coefficient; commutator_defect
+composes rules on rows and sums each index's rows with one _sum.
+
 The matrix form (as_matrix) is the rule restricted to the window, for
 kernel_solve, the cyclic orbit and serialization.  It has no tail, so
 it neither applies nor composes: either would certify zeros that the
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import DomainError, PrecisionExhaustedError
-from .padics import PadicNumber, vp
+from .padics import PadicNumber, _split
 from .series import MahlerSeries, _min_exponent
 
 # operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
@@ -34,31 +38,53 @@ RULES = {
 OPERATOR_NAMES = tuple(RULES)
 
 
-def _apply_rule(op: str, f: MahlerSeries) -> MahlerSeries:
-    """The series form of the named operator's (shift, weight) rule."""
+def _rows(f: MahlerSeries) -> list:
+    """f's coefficients as rows, None for the exact zero; the marker
+    O(p^k) is (k, 0, k)."""
+    return [None if c.is_exact_zero else (c.valuation, c.unit, c.abs_precision)
+            for c in f.coefficients]
+
+
+def _rule_rows(op: str, p: int, rows: list, tail):
+    """The named operator's rule on rows and tail bound.  A weight
+    u p**k sends (v, c, N) to (v + k, c u, N + k); a row pushed past
+    index M-1 enters the tail bound at its valuation."""
     shift, weight = RULES[op]
-    p = f.prime
-    m = f.truncation
-    coeffs = []
-    for i in range(m):
-        n = i - shift
-        if n < 0:
-            coeffs.append(PadicNumber.zero(p))
-        elif n >= m:
-            # pulled from index M: c_M is known only through the tail
-            coeffs.append(PadicNumber.zero(p, known_to=f.tail_bound_exponent))
-        else:
-            w = weight(n)
-            c = f.coefficients[n]
-            coeffs.append(c if w == 1 else c * w)
-    tail = f.tail_bound_exponent
-    for n in range(m - shift, m):     # pushed past index M-1
-        spill = f.coefficients[n].norm_bound_exponent()
-        if spill is not None:
-            spill += vp(weight(n), p)
-        tail = _min_exponent(tail, spill)
-    return MahlerSeries(prime=p, coefficients=tuple(coeffs),
-                        tail_bound_exponent=tail)
+    m = len(rows)
+    out = [None] * m
+    if shift < 0 and tail is not None:
+        # pulled from index M: c_M is known only through the tail
+        out[m + shift:] = [(tail, 0, tail)] * -shift
+    new_tail = tail
+    for n, row in enumerate(rows):
+        w = 1 if row is None else weight(n)
+        if w == 0:
+            row = None
+        elif w != 1:
+            k, u = _split(w, p)
+            row = (row[0] + k, row[1] * u, row[2] + k)
+        i = n + shift
+        if 0 <= i < m:
+            out[i] = row
+        elif i >= m and row is not None:
+            new_tail = _min_exponent(new_tail, row[0])
+    return out, new_tail
+
+
+def _apply_rule(op: str, f: MahlerSeries) -> MahlerSeries:
+    """The series form of the named operator's rule, canonicalized once
+    per coefficient."""
+    p, rows = f.prime, _rows(f)
+    out, tail = _rule_rows(op, p, rows, f.tail_bound_exponent)
+    # a row equal to one of f's is that coefficient; any other is a
+    # marker or a unit times unit(w), prime to p, so it only needs reducing
+    held = {None: PadicNumber.zero(p), **dict(zip(rows, f.coefficients))}
+    coeffs = tuple(
+        held[r] if r in held
+        else PadicNumber.zero(p, known_to=r[0]) if not r[1]
+        else PadicNumber(p, r[0], r[1] % p**(r[2] - r[0]), r[2] - r[0])
+        for r in out)
+    return MahlerSeries(prime=p, coefficients=coeffs, tail_bound_exponent=tail)
 
 
 def apply_raising(f: MahlerSeries) -> MahlerSeries:
@@ -77,8 +103,18 @@ def hamiltonian(f: MahlerSeries) -> MahlerSeries:
 
 
 def commutator_defect(f: MahlerSeries) -> MahlerSeries:
-    """(a- a+ - a+ a- - 1) f, which vanishes on indices below M-1."""
-    return apply_lowering(apply_raising(f)) - apply_raising(apply_lowering(f)) - f
+    """(a- a+ - a+ a- - 1) f, which vanishes on indices below M-1.
+    Both products compose RULES on rows; a+ a- acts on -f."""
+    p, rows, tail = f.prime, _rows(f), f.tail_bound_exponent
+    minus = [r and (r[0], -r[1], r[2]) for r in rows]
+    up_down, t1 = _rule_rows("lowering", p,
+                             *_rule_rows("raising", p, rows, tail))
+    down_up, t2 = _rule_rows("raising", p,
+                             *_rule_rows("lowering", p, minus, tail))
+    coeffs = tuple(PadicNumber._sum(p, filter(None, terms))
+                   for terms in zip(up_down, down_up, minus))
+    return MahlerSeries(prime=p, coefficients=coeffs,
+                        tail_bound_exponent=_min_exponent(t1, t2, tail))
 
 
 # -- matrix form -------------------------------------------------------

@@ -127,8 +127,7 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, p: int, known_to: Optional[int] = None) -> "PadicNumber":
-        return cls(prime=p, valuation=known_to or 0, unit=0, precision=0,
-                   known_to=known_to)
+        return cls(p, known_to or 0, 0, 0, known_to)
 
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -145,8 +144,7 @@ class PadicNumber:
         # digits below the first nonzero one move into the valuation
         # and the relative precision shrinks accordingly
         shift, u = _split(u, p)
-        return cls(prime=p, valuation=valuation + shift, unit=u,
-                   precision=precision - shift)
+        return cls(p, valuation + shift, u, precision - shift)
 
     @classmethod
     def _sum(cls, p: int, terms) -> "PadicNumber":

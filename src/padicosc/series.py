@@ -168,9 +168,12 @@ def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
     p, coeffs = f.prime, f.coefficients
     terms = []
     if isinstance(x, int):
+        b = 1       # binomial(x, n): n b_n = b_(n-1) (x - n + 1), exactly
         for n, c in enumerate(coeffs):
-            b = 0 if c.is_exact_zero else mahler_basis_eval_int(n, x)
-            if b:
+            b = b * (x - n + 1) // n if n else b
+            if not b:
+                break   # 0 <= x < n, and so for every later n
+            if not c.is_exact_zero:
                 v, u = _split(b, p)
                 vc = c.valuation
                 terms.append((vc + v, c.unit * u, vc + c.precision + v))

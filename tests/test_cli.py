@@ -168,6 +168,13 @@ def test_zeta_table(capsys):
     assert report["rows"] == []
 
 
+def test_zeta_table_rejects_kmax_below_one(capsys):
+    for kmax in ("0", "-3"):
+        rc, out, err = run(capsys, "zeta-table", kmax)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error") and "kmax" in err
+
+
 # -- exit codes and diagnostics ----------------------------------------
 
 

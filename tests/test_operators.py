@@ -144,6 +144,20 @@ def test_commutator_defect_vanishes():
         assert all(c.is_zero for c in d.coefficients)
 
 
+def test_commutator_defect_sees_a_wrong_rule(monkeypatch):
+    # the defect composes the rules rather than restating [a-, a+] = 1,
+    # so a wrong weight in RULES shows as a nonzero defect below M-1
+    rng = random.Random(13)
+    f = random_series(rng, 5, 7)
+    wrong = {"raising": (1, lambda n: n + 2), "lowering": (-1, lambda n: 2)}
+    for name, rule in wrong.items():
+        with monkeypatch.context() as patch:
+            patch.setitem(RULES, name, rule)
+            d = commutator_defect(f)
+        assert not all(c.is_zero for c in d.coefficients[:-1]), name
+    assert all(c.is_zero for c in commutator_defect(f).coefficients[:-1])
+
+
 def test_commutator_with_hamiltonian():
     # [H, a+] = a+ and [H, a-] = -a- on the indices both sides store
     rng = random.Random(12)

@@ -527,3 +527,23 @@ def test_kernels_match_object_arithmetic_oracle():
     assert raised[PrecisionExhaustedError] > 40
     assert raised[DomainError] > 100
     assert raised["value"] > 1000
+
+
+def test_eval_at_far_integers_matches_comb():
+    # mahler_eval carries binomial(x, n) from n - 1; the oracle takes
+    # each one from math.comb, through binomial(-y, n) =
+    # (-1)**n binomial(y + n - 1, n) for negative points
+    def comb_oracle(f, x):
+        acc = PadicNumber.zero(f.prime)
+        for n, c in enumerate(f.coefficients):
+            b = math.comb(x, n) if x >= 0 else (-1)**n * math.comb(n - x - 1, n)
+            acc = oracle_add(acc, oracle_times(c, b))
+        return acc
+
+    rng = random.Random(1010)
+    for p in (2, 3, 5, 7):
+        for m in (1, 5, 12):
+            f = MahlerSeries(prime=p, coefficients=tuple(
+                edge_padic(rng, p) for _ in range(m)))
+            for x in (-p**50, -1, *range(m + 1), p**50 + 3):
+                assert mahler_eval(f, x) == comb_oracle(f, x), (f, x)
