@@ -19,7 +19,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
-from math import gcd
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -40,7 +39,8 @@ from .operators import (
     kernel_solve,
 )
 from .galois import Branch, orbit
-from .zeta import ZetaBranchEval, _torsion_order, zeta_interp, zeta_measure
+from .zeta import (ZetaBranchEval, _torsion_order, _validate_regulator,
+                   zeta_interp, zeta_measure)
 from .sampling import random_mahler_series
 from .serialization import (
     dumps,
@@ -113,9 +113,11 @@ class RunConfig:
         if self.kappa0 > max(self.p - 2, 0):
             raise ConfigError("kappa0 = %d out of range 0..%d for p = %d"
                               % (self.kappa0, max(self.p - 2, 0), self.p))
-        if self.regulator is not None and gcd(self.regulator, self.p) != 1:
-            raise ConfigError("regulator %d is not a unit at p = %d"
-                              % (self.regulator, self.p))
+        if self.regulator is not None:
+            try:
+                _validate_regulator(self.regulator, self.p)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:

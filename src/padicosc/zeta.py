@@ -4,14 +4,14 @@ Two independent routes to the same numbers.  The interpolation route is
 exact rational arithmetic: -(1 - p^(k-1)) B_k / k embedded into Q_p at
 branch-matched k, with B_k from integer zigzag (tangent) numbers.  The
 measure route Riemann-sums the integrand <x>^(-s) w(x)^(kappa0 - 1) over
-the units mod p^N against a regularized Bernoulli measure, then divides
-by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
+the units mod q = p^N against the regularized Bernoulli measure
+E_{1,r}(a) = B1(a/q) - r B1((r^-1 a mod q)/q) (Washington, Cyclotomic
+Fields, Ch. 12), then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
-The unit sum runs over plain integers and sums against E_{1,r}, which is
-measure_value at the integer regulator r^-1 mod p^(digits + level).  Its
-two kernels give the same residue: floor sums when the exponent e = -s is
-a small integer >= 0, about (e+2)^2 bit_length(p^N) work per progression,
-else the residue loop, one term per unit (s > 0, generic p-adic s, low N).
+The unit sum runs over plain integers mod p^digits.  Its two kernels give
+the same residue: floor sums when the exponent e = -s is a small integer
+>= 0, about (e+2)^2 bit_length(p^N) work per progression, else the
+residue loop, one term per unit (s > 0, generic p-adic s, low N).
 """
 
 from __future__ import annotations
@@ -75,19 +75,29 @@ def _validate_regulator(regulator: int, p: int) -> None:
         raise DomainError("invalid regulator %r for p = %d" % (regulator, p))
 
 
+def _disc_constants(regulator: int, q: int, mod: int):
+    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
+    rinv = pow(regulator, -1, q)
+    # half = (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
+    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
+    return rinv, (regulator * rinv - 1) // q, half
+
+
 def measure_value(a: int, level: int, regulator: int, p: int,
                   precision: Optional[int] = None) -> PadicNumber:
-    """mu_{1,r}(a + p^level Z_p) = B1(a/q) - (1/r) B1((r a mod q)/q).
+    """E_{1,r}(a + p^level Z_p) = B1(a/q) - r B1((R a mod q)/q), q = p^level.
 
-    Closed form (1/r) floor(r a / q) + (1/r - 1)/2, q = p^level.
+    Closed form r floor(R a/q) - slope a + (r - 1)/2, with R = r^-1 mod q
+    and slope = (r R - 1)/q from _disc_constants; (r - 1)/2 is exact here.
     """
     _validate_regulator(regulator, p)
     q = p**level
     if not 0 <= a < q:
         raise DomainError("residue %r out of range for level %d" % (a, level))
     n = DEFAULT_PRECISION if precision is None else precision
-    num = 2 * (regulator * a // q) + 1 - regulator
-    return PadicNumber.from_rational(num, 2 * regulator, p, n)
+    rinv, slope, _ = _disc_constants(regulator, q, 1)
+    num = 2 * (regulator * (rinv * a // q) - slope * a) + regulator - 1
+    return PadicNumber.from_rational(num, 2, p, n)
 
 
 @dataclass(frozen=True)
@@ -125,21 +135,19 @@ class MazurMeasure:
 
 def total_mass(regulator: int, p: int,
                precision: Optional[int] = None) -> PadicNumber:
-    """mu(Z_p) = (1 - r)/(2r), the same at every level: the level-0 disc."""
+    """E_{1,r}(Z_p) = (r - 1)/2, the same at every level: the level-0 disc."""
     return measure_value(0, 0, regulator, p, precision)
 
 
 def integrate_units(g: Callable[[int], PadicNumber], level: int,
                     regulator: int, p: int,
-                    precision: Optional[int] = None,
-                    continuity_exponent: Optional[int] = None) -> PadicNumber:
-    """Riemann sum of g over the units mod p^level against the measure.
+                    precision: Optional[int] = None) -> PadicNumber:
+    """Riemann sum of g over the units mod p^level against E_{1,r}.
 
     g maps a unit residue to a PadicNumber (exact ints work too).  The
-    measure is bounded by 1 in absolute value, so the sum approximates
-    the integral to within the modulus of continuity of g across
-    level-N discs; pass that exponent to have it capped onto the
-    reported precision of the result.
+    measure values lie in (1/2) Z_p, so the sum approximates the integral
+    to within the modulus of continuity of g across level-N discs; a
+    caller who knows that exponent e caps the result with truncated_to(e).
     """
     _validate_regulator(regulator, p)
     q = p**level
@@ -148,8 +156,6 @@ def integrate_units(g: Callable[[int], PadicNumber], level: int,
         if a % p == 0:
             continue
         total = total + g(a) * measure_value(a, level, regulator, p, precision)
-    if continuity_exponent is not None:
-        total = total.truncated_to(continuity_exponent)
     return total
 
 
@@ -218,14 +224,6 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
     x = PadicNumber.from_int(regulator, p, digits)
     w = teichmuller(x)
     return unit_power(x / w, 1 - s, digits) * w**kappa0 - 1
-
-
-def _disc_constants(regulator: int, q: int, mod: int):
-    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
-    rinv = pow(regulator, -1, q)
-    # half = (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
-    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
-    return rinv, (regulator * rinv - 1) // q, half
 
 
 def _unit_classes(p: int, digits: int):
@@ -333,8 +331,7 @@ def _floor_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     """_unit_sum for exponent e >= 0 by floor sums, the same residue:
     <a>^e w(a)^(kappa0-1) E_{1,r}(a) = w(c)^(kappa0-1-e) a^e (r floor(R a/q)
     - slope a + half), so a progression needs the sums of a^e, a^(e+1) and
-    a^e floor(R a/q) only (Concrete Mathematics 3.5; the measure as in
-    Washington, Cyclotomic Fields, Ch. 12)."""
+    a^e floor(R a/q) only (Concrete Mathematics 3.5)."""
     q, mod = p**level, p**digits
     rinv, slope, half = _disc_constants(regulator, q, mod)
     acc = 0

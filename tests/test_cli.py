@@ -189,6 +189,8 @@ def test_config_validation_exit_1(capsys):
         (("--precision", "2", "zeta-interp", "2"), "precision"),
         (("--p", "5", "--kappa0", "9", "zeta-interp", "2"), "kappa0"),
         (("--p", "5", "--regulator", "10", "zeta-interp", "2"), "regulator"),
+        (("--regulator", "1", "zeta-table", "8"), "invalid regulator"),
+        (("--regulator", "-1", "--p", "5", "orbit", "2"), "invalid regulator"),
     ]
     for args, needle in cases:
         rc, _, err = run(capsys, *args)
@@ -221,10 +223,10 @@ def test_precision_exhaustion_exit_2(capsys):
 
 def test_regulator_plus_minus_one_exit_1(capsys):
     # the prefactor is 0 (r = -1) or the measure is 0 (r = 1) at any
-    # precision, so this is a domain error, not precision exhaustion
+    # precision, so the setting is rejected, not precision exhaustion
     for r in ("1", "-1"):
         rc, _, err = run(capsys, "--regulator", r, "zeta-measure", "2")
-        assert rc == 1 and err.startswith("domain error")
+        assert rc == 1 and err.startswith("config error")
         assert "invalid regulator" in err
 
 

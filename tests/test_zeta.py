@@ -94,12 +94,15 @@ def test_bernoulli_known_large_value():
 
 
 def test_measure_closed_form_matches_two_term_definition():
+    # E_{1,r} from its B1 definition, independent of _disc_constants
     def oracle(a, level, r, p):
         q = p**level
         b1 = lambda x: x - Fraction(1, 2)
-        return b1(Fraction(a, q)) - Fraction(1, r) * b1(Fraction(r * a % q, q))
+        return b1(Fraction(a, q)) - r * b1(Fraction(pow(r, -1, q) * a % q, q))
 
-    for p, r, level in [(5, 2, 2), (3, 2, 3), (7, 3, 2), (2, 3, 4)]:
+    # a negative r, an even r at odd p, and r = 1 mod q among them
+    for p, r, level in [(5, 2, 2), (3, 2, 3), (7, 3, 2), (2, 3, 4),
+                        (5, -2, 2), (7, 4, 2), (3, 10, 2)]:
         for a in range(p**level):
             got = measure_value(a, level, r, p, 16)
             want = PadicNumber.from_fraction(oracle(a, level, r, p), p, 16)
@@ -107,8 +110,9 @@ def test_measure_closed_form_matches_two_term_definition():
 
 
 def test_measure_worked_example():
-    # p=5, r=2, a=3, N=1: (1/2) floor(6/5) + (1/2 - 1)/2 = 1/2 - 1/4 = 1/4
-    assert measure_value(3, 1, 2, 5, 10).agrees_with(frac(1, 4, 5, 10))
+    # p=5, r=2, a=3, N=1: R = 3, slope = (2*3 - 1)/5 = 1, so
+    # 2 floor(9/5) - 3 + (2 - 1)/2 = -1/2 = B1(3/5) - 2 B1(4/5)
+    assert measure_value(3, 1, 2, 5, 10).agrees_with(frac(-1, 2, 5, 10))
 
 
 def test_measure_rejects_bad_input():
@@ -132,13 +136,13 @@ def test_measure_distribution_property():
 
 
 def test_total_mass_closed_form():
-    # mu(Z_p) = (1 - r)/(2r), computed here without measure_value
+    # E_{1,r}(Z_p) = (r - 1)/2, computed here without measure_value
     for p in (2, 3, 5, 7):
         for r in (2, 3, 4, -2, 5, 11):
             if r % p == 0:
                 continue
             for n in (1, 5, 16):
-                want = PadicNumber.from_rational(1 - r, 2 * r, p, n)
+                want = PadicNumber.from_rational(r - 1, 2, p, n)
                 assert total_mass(r, p, n) == want, (p, r, n)
 
 
@@ -186,12 +190,6 @@ def test_integrate_identity_converges():
     d45 = diff_exponent(vals[5], vals[4])
     assert d34 is None or d34 >= 3
     assert d45 is None or d34 is None or d45 >= d34 + 1
-
-
-def test_integrate_continuity_cap():
-    one = PadicNumber.one(7, 20)
-    out = integrate_units(lambda a: one, 2, 3, 7, 20, continuity_exponent=5)
-    assert out.abs_precision == 5
 
 
 # -- regulators ----------------------------------------------------------
@@ -400,13 +398,6 @@ ORACLE_REGULATORS = {2: (3, 5), 3: (2, 5), 5: (2, 3), 7: (3, 5)}
 ORACLE_PADIC_S = ((2, 0, 2, 3), (5, 2, 13, 7), (7, 4, 10, 3))
 
 
-def _integral_by_hand(g, p, r, level, digits):
-    # the kernel's E_{1,r} is measure_value at the integer regulator
-    # r^-1 mod p^(digits + level), up to p^digits
-    rho = pow(r, -1, p ** (digits + level))
-    return integrate_units(g, level, rho, p, digits)
-
-
 def _assert_agree(by_hand, value, precision):
     d = by_hand - value
     assert d.is_zero and d.known_to >= precision
@@ -424,14 +415,14 @@ def test_zeta_measure_via_public_integration():
                     # at matched k the integrand is a^(k-1) and the
                     # prefactor r^k - 1
                     g = lambda a: PadicNumber.from_int(a, p, digits) ** (k - 1)
-                    integral = _integral_by_hand(g, p, r, level, digits)
+                    integral = integrate_units(g, level, r, p, digits)
                     by_hand = integral / PadicNumber.from_int(r**k - 1, p, digits)
                     ev = zeta_measure(1 - k, branch, regulator=r, level=level,
                                       precision=precision)
                     _assert_agree(by_hand, ev.value, precision)
+    # a p-adic s, then the residue loop at negative exponents (s = 2, 3)
     for p, kappa0, num, den in ORACLE_PADIC_S:
         branch = Branch(p, kappa0)
-        s = PadicNumber.from_rational(num, den, p, 40)
 
         def split(a):
             x = PadicNumber.from_int(a, p, digits)
@@ -442,14 +433,15 @@ def test_zeta_measure_via_public_integration():
             angle, w = split(a)
             return unit_power(angle, -s, digits) * w ** (kappa0 - 1)
 
-        for r in ORACLE_REGULATORS[p]:
-            angle, w = split(r)
-            prefactor = unit_power(angle, 1 - s, digits) * w**kappa0 - 1
-            for level in (2, 3):
-                integral = _integral_by_hand(g, p, r, level, digits)
-                ev = zeta_measure(s, branch, regulator=r, level=level,
-                                  precision=precision)
-                _assert_agree(integral / prefactor, ev.value, precision)
+        for s in (PadicNumber.from_rational(num, den, p, 40), 2, 3):
+            for r in ORACLE_REGULATORS[p]:
+                angle, w = split(r)
+                prefactor = unit_power(angle, 1 - s, digits) * w**kappa0 - 1
+                for level in (2, 3):
+                    integral = integrate_units(g, level, r, p, digits)
+                    ev = zeta_measure(s, branch, regulator=r, level=level,
+                                      precision=precision)
+                    _assert_agree(integral / prefactor, ev.value, precision)
 
 
 def test_zeta_measure_gates():
