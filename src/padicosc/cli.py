@@ -29,7 +29,7 @@ from .errors import (
     PoleError,
     PrecisionExhaustedError,
 )
-from .padics import PadicNumber, angle, is_prime, teichmuller
+from .padics import PadicNumber, _torsion_order, angle, is_prime, teichmuller
 from .series import MahlerSeries, mahler_expand, vdp_expand
 from .operators import (
     OPERATOR_NAMES,
@@ -39,8 +39,8 @@ from .operators import (
     kernel_solve,
 )
 from .galois import Branch, orbit
-from .zeta import (ZetaBranchEval, _torsion_order, _validate_regulator,
-                   zeta_interp, zeta_measure)
+from .zeta import (ZetaBranchEval, _validate_regulator, zeta_interp,
+                   zeta_measure)
 from .sampling import random_mahler_series
 from .serialization import (
     dumps,

@@ -16,9 +16,10 @@ An int or Fraction operand is exact and enters the arithmetic as its
 numerator and denominator: multiplying keeps the relative precision,
 adding keeps the absolute precision.
 
-Also provided: Hensel digit expansions, the Teichmuller character and the
-angle projection x/omega(x), and powers of principal units via the
-binomial series.
+Also provided: Hensel digit expansions, the decomposition
+Z_p^* = mu_phi(q) x (1 + qZ_p) (q = p, or 4 when p = 2): the Teichmuller
+character, the angle projection x/omega(x), and powers of principal
+units.
 """
 
 from __future__ import annotations
@@ -405,21 +406,38 @@ class PadicNumber:
 # -- Teichmuller character and friends --------------------------------
 
 
+def _q_digits(p: int) -> int:
+    """v_p(q) for q = p, or 4 when p = 2: Z_p^* = mu_phi(q) x (1 + qZ_p)."""
+    return 2 if p == 2 else 1
+
+
+def _torsion_order(p: int) -> int:
+    """phi(q), the number of roots of unity in Z_p."""
+    return p ** (_q_digits(p) - 1) * (p - 1)
+
+
+def _check_exponent(s, p: int, name: str) -> None:
+    """Raise DomainError unless s is an int or a PadicNumber in Z_p at the
+    prime p; name is the caller's word for s in the message."""
+    if isinstance(s, PadicNumber):
+        if s.prime != p:
+            raise DomainError("%s lives in a different Q_p" % name)
+        if not s.is_zero and s.valuation < 0:
+            raise DomainError("%s must lie in Z_p" % name)
+    elif not isinstance(s, int):
+        raise DomainError("%s must be an int or PadicNumber" % name)
+
+
 @lru_cache(maxsize=None)
 def _teichmuller_residue(p: int, r: int, n: int) -> int:
-    """omega(r) mod p**n for a unit residue r, by iterating x -> x**p.
-
-    Each iteration fixes one more digit, so n iterations are more than
-    the n-1 needed; the count is fixed for determinism.  For p = 2 the
-    lift is +-1 by r mod 4 (see teichmuller).
+    """omega(r) mod p**n for a unit residue r, as r**(p**n): each power
+    x -> x**p fixes one more digit.  0 when n <= 0.  For p = 2 the lift
+    is +-1 by r mod 4 (see teichmuller).
     """
-    mod = p**n
+    mod = p ** max(n, 0)
     if p == 2:
         return (1 if r % 4 == 1 else -1) % mod
-    a = r % mod
-    for _ in range(n):
-        a = pow(a, p, mod)
-    return a
+    return pow(r, mod, mod)
 
 
 def teichmuller(x: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
@@ -433,7 +451,7 @@ def teichmuller(x: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
         raise DomainError("teichmuller needs a unit of Z_p")
     p = x.prime
     n = precision if precision is not None else x.precision
-    r = x.residue(2 if p == 2 else 1)
+    r = x.residue(_q_digits(p))
     return PadicNumber._make(p, 0, _teichmuller_residue(p, r, n), n)
 
 
@@ -445,44 +463,20 @@ def angle(x: PadicNumber) -> PadicNumber:
 def unit_power(u: PadicNumber, s, precision: Optional[int] = None) -> PadicNumber:
     """u**s for a principal unit u (u = 1 mod q, q = p or 4) and s in Z_p.
 
-    Binomial series sum_n C(s, n) (u-1)**n with exact integer binomial
-    coefficients; term n vanishes mod p**N once n*v(u-1) >= N, which
-    bounds the loop.  s may be an int or a PadicNumber in Z_p.
+    s may be an int or a PadicNumber in Z_p; the power is one modular
+    pow of u's residue by an integer representative of s.
     """
     p = u.prime
-    q_digits = 2 if p == 2 else 1
-    if u.is_zero or u.valuation != 0 or u.residue(q_digits) != 1:
+    if u.is_zero or u.valuation != 0 or u.residue(_q_digits(p)) != 1:
         raise DomainError("unit_power needs u in 1 + qZ_p")
     n_out = u.precision if precision is None else min(precision, u.precision)
     t = u - 1
     if t.is_zero:
-        cap = n_out if t.known_to is None else min(n_out, t.known_to)
-        return PadicNumber.one(p, cap)
-    vt = t.valuation
+        # t is known to u's precision, which is at least n_out
+        return PadicNumber.one(p, n_out)
+    _check_exponent(s, p, "exponent")
     if isinstance(s, PadicNumber):
-        if s.prime != p:
-            raise DomainError("exponent lives in a different Q_p")
-        if not s.is_zero and s.valuation < 0:
-            raise DomainError("exponent must lie in Z_p")
-        # u**(p**e) = 1 mod p**(vt+e), so a representative of s modulo
-        # p**(n_out - vt) determines the answer mod p**n_out
-        s_int = s.residue(max(n_out - vt, 1))
-    elif isinstance(s, int):
-        s_int = s
-    else:
-        raise DomainError("exponent must be an int or PadicNumber")
-
-    mod = p**n_out
-    tres = t.residue(n_out)
-    acc = 0
-    binom = 1          # C(s, n), exact integer
-    tpow = 1
-    n = 0
-    while n * vt < n_out:
-        acc = (acc + binom * tpow) % mod
-        num = binom * (s_int - n)
-        binom = num // (n + 1)
-        assert binom * (n + 1) == num, "binomial recurrence must divide exactly"
-        tpow = tpow * tres % mod
-        n += 1
-    return PadicNumber._make(p, 0, acc, n_out)
+        # u**(p**e) = 1 mod p**(v(t)+e), so a representative of s modulo
+        # p**(n_out - v(t)) determines the answer mod p**n_out
+        s = s.residue(max(n_out - t.valuation, 1))
+    return PadicNumber._make(p, 0, pow(u.residue(n_out), s, p**n_out), n_out)

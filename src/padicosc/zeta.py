@@ -28,7 +28,10 @@ from .errors import DomainError, PoleError, PrecisionExhaustedError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _check_exponent,
+    _q_digits,
     _teichmuller_residue,
+    _torsion_order,
     is_primitive_root,
     teichmuller,
     unit_power,
@@ -195,10 +198,6 @@ def _require_even_branch(branch: Branch) -> None:
             "zeta needs an even branch; kappa0 = %d is odd" % branch.kappa0)
 
 
-def _torsion_order(p: int) -> int:
-    return 2 if p == 2 else p - 1
-
-
 def zeta_interp(k: int, branch: Branch,
                 precision: Optional[int] = None) -> PadicNumber:
     """Exact interpolation value -(1 - p^(k-1)) B_k / k at s = 1 - k.
@@ -228,7 +227,7 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
 
 def _unit_classes(p: int, digits: int):
     """Stride and unit classes (c, w(c) mod p^digits); at p = 2, c mod 4."""
-    stride = 4 if p == 2 else p
+    stride = p ** _q_digits(p)
     return stride, [(c, _teichmuller_residue(p, c, digits))
                     for c in range(1, stride) if c % p]
 
@@ -358,19 +357,16 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
     _require_even_branch(branch)
     r = default_regulator(p) if regulator is None else regulator
     _validate_regulator(r, p)
-    if level < (2 if p == 2 else 1):
+    if level < _q_digits(p):
         raise DomainError("level %d too small for p = %d" % (level, p))
     n_req = DEFAULT_PRECISION if precision is None else precision
     if n_req < 1:
         raise DomainError("precision must be positive")
+    _check_exponent(s, p, "s")
 
     torsion_trivial = pow(r % p, kappa0, p) == 1
     x = s  # the point computed with; the report keeps s as given
     if isinstance(s, PadicNumber):
-        if s.prime != p:
-            raise DomainError("s lives in a different Q_p")
-        if not s.is_zero and s.valuation < 0:
-            raise DomainError("s must lie in Z_p")
         if s.is_exact_zero:
             x = 0  # s - 1 would have unbounded precision
         else:
@@ -380,8 +376,6 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
                     "s is indistinguishable from the pole at 1 "
                     "(difference known to vanish mod %d**%s)"
                     % (p, diff.known_to))
-    elif not isinstance(s, int):
-        raise DomainError("s must be an int or PadicNumber")
     if torsion_trivial and isinstance(x, int) and x == 1:
         raise PoleError(
             "pole/indeterminate at this branch point: s = 1 with "
@@ -403,14 +397,15 @@ def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
     else:
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
-        exponent = (-x).residue(digits - (2 if p == 2 else 1))
+        exponent = (-x).residue(digits - _q_digits(p))
     # the floor sums cost about (e+2)^2 bit_length(p^level) per
-    # progression, the loop one term per unit
+    # progression, the loop one term per unit; _progressions makes 2
+    # when every weight is 1, else one per unit class
     units = p**level - p**(level - 1)
-    progressions = (_progressions(p, kappa0, exponent, level, digits)
-                    if 0 <= exponent < units else ())
-    work = len(progressions) * (exponent + 2)**2 * (p**level).bit_length()
-    if 0 < work < units:
+    order = _torsion_order(p)
+    count = 2 if (kappa0 - 1 - exponent) % order == 0 else order
+    bits = (p**level).bit_length()
+    if 0 <= exponent < units and count * (exponent + 2)**2 * bits < units:
         acc = _floor_unit_sum(p, kappa0, exponent, r, level, digits)
     else:
         acc = _unit_sum(p, kappa0, exponent, r, level, digits)

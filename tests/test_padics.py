@@ -337,6 +337,29 @@ def teich_oracle(a: int, p: int, n: int) -> int:
         x = y
 
 
+def unit_power_oracle(u: PadicNumber, s, precision=None) -> PadicNumber:
+    """u**s for a principal unit u by the binomial series
+    sum_n C(s, n) (u - 1)**n with exact integer binomial coefficients:
+    term n vanishes mod p**N once n*v(u - 1) >= N."""
+    p = u.prime
+    n_out = u.precision if precision is None else min(precision, u.precision)
+    t = u - 1
+    if t.is_zero:
+        return PadicNumber.one(p, n_out)
+    vt = t.valuation
+    if isinstance(s, PadicNumber):
+        s = s.residue(max(n_out - vt, 1))
+    mod = p**n_out
+    tres = t.residue(n_out)
+    acc, binom, tpow, n = 0, 1, 1, 0
+    while n * vt < n_out:
+        acc = (acc + binom * tpow) % mod
+        binom = binom * (s - n) // (n + 1)
+        tpow = tpow * tres % mod
+        n += 1
+    return PadicNumber._make(p, 0, acc, n_out)
+
+
 def test_teichmuller_of_one():
     for p in (2, 3, 5, 13):
         w = teichmuller(PadicNumber.one(p, 12))
@@ -348,6 +371,17 @@ def test_teichmuller_p5_of_two():
     assert w.residue(2) == 7          # 2^5 = 32 = 7 mod 25, then 7^5 = 7
     w64 = teichmuller(PadicNumber.from_int(2, 5, 8))
     assert w64.residue(8) == teich_oracle(2, 5, 8)
+    for p in (3, 7, 13):
+        for a in range(1, 2 * p):
+            if a % p == 0:
+                continue
+            x = PadicNumber.from_int(a, p, 8)
+            for n in (-2, 0, 1, 8):
+                w = teichmuller(x, precision=n)
+                if n <= 0:
+                    assert w == PadicNumber.zero(p, known_to=n)
+                else:
+                    assert w.residue(n) == teich_oracle(a, p, n)
 
 
 def test_teichmuller_is_root_of_unity():
@@ -447,6 +481,32 @@ def test_unit_power_matches_repeated_multiplication():
         assert unit_power(u, s).residue(8) == pow(6, s, 5**8)
     # negative integer exponents agree with the inverse power
     assert unit_power(u, -3).agrees_with(PadicNumber.one(5, 8) / u**3)
+
+
+def test_unit_power_matches_binomial_series():
+    def outcome(f):
+        try:
+            return repr(f())
+        except PadicError as e:
+            return type(e)
+
+    rng = random.Random(12)
+    for p in (2, 3, 5, 7, 13):
+        q_digits = 2 if p == 2 else 1
+        for _ in range(80):
+            n = rng.randint(q_digits, 10)
+            a = 1 + p ** rng.randint(q_digits, n) * rng.randrange(p**n)
+            u = PadicNumber.from_int(a, p, n)
+            if rng.randrange(2):
+                s = rng.randint(-10**4, 10**4)
+            else:
+                # too few digits for the reduction of s raises
+                s = PadicNumber.from_rational(rng.randint(-999, 999),
+                                              rng.choice((1, 3, 11)), p,
+                                              rng.randint(0, n))
+            for precision in (None, -1, 0, rng.randint(1, n)):
+                assert (outcome(lambda: unit_power(u, s, precision))
+                        == outcome(lambda: unit_power_oracle(u, s, precision)))
 
 
 def test_unit_power_p2():
