@@ -5,21 +5,21 @@ diagnostics on stderr.  Exit status: 0 success, 1 domain/config/input
 error, 2 precision exhaustion.
 
 Every global flag but --config is a config key of the same name; both
-are defined once, by a field of RunConfig that carries the setting's
-default, help text and bounds.  Configuration resolves in three
-layers: those defaults, then an optional JSON config file (path from
-the PADICOSC_CONFIG environment variable, falling back to --config),
-then explicit flags.  With PADICOSC_CI set, randomized subcommands
-refuse to run without an explicit seed.
+are defined once, by a row of SETTINGS, which is also a RunConfig field
+and carries the setting's default, help text and bounds.  Configuration
+resolves in three layers: those defaults, then an optional JSON config
+file (path from the PADICOSC_CONFIG environment variable, falling back
+to --config), then explicit flags.  With PADICOSC_CI set, randomized
+subcommands refuse to run without an explicit seed.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields
-from typing import List, Optional, Tuple
 
 from .errors import (
     ConfigError,
@@ -29,7 +29,8 @@ from .errors import (
     PoleError,
     PrecisionExhaustedError,
 )
-from .padics import PadicNumber, _torsion_order, angle, is_prime, teichmuller
+from .padics import (PadicNumber, _Frozen, _torsion_order, angle, is_prime,
+                     teichmuller)
 from .series import MahlerSeries, mahler_expand, vdp_expand
 from .operators import (
     OPERATOR_NAMES,
@@ -69,45 +70,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _setting(default, help, minimum=None, choices=None):
-    return field(default=default, metadata={
-        "help": help, "minimum": minimum, "choices": choices})
+# name -> (default, help, minimum, choices); see RunConfig
+SETTINGS = {
+    "p": (5, "the prime", None, None),
+    "precision": (32, "significant base-p digits (>= 4)", 4, None),
+    "m": (8, "series truncation window M (>= 4)", 4, None),
+    "kappa0": (0, "branch index, 0 <= kappa0 <= p-2", 0, None),
+    "level": (5, "disc level N for measure sums", 1, None),
+    "regulator": (None, "regulator r coprime to p, not +-1 (default: "
+                        "smallest primitive root mod p^2)", None, None),
+    "output": ("json", "output format", None, ("text", "json")),
+    "seed": (None, "seed for randomized subcommands", None, None),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The global settings.  Each field is a --flag and a config-file key
-    of the same name.  A setting with choices takes one of them; any
-    other is an integer, at least its minimum, or None where that is
-    its default."""
+class RunConfig(_Frozen):
+    """The global settings, one field per row of SETTINGS.  Each is a
+    --flag and a config-file key of the same name.  A setting with
+    choices takes one of them; any other is an integer, at least its
+    minimum, or None where that is its default."""
 
-    p: int = _setting(5, "the prime")
-    precision: int = _setting(32, "significant base-p digits (>= 4)", 4)
-    m: int = _setting(8, "series truncation window M (>= 4)", 4)
-    kappa0: int = _setting(0, "branch index, 0 <= kappa0 <= p-2", 0)
-    level: int = _setting(5, "disc level N for measure sums", 1)
-    regulator: Optional[int] = _setting(
-        None, "regulator r coprime to p, not +-1 (default: smallest "
-              "primitive root mod p^2)")
-    output: str = _setting("json", "output format", choices=("text", "json"))
-    seed: Optional[int] = _setting(None, "seed for randomized subcommands")
+    __slots__ = tuple(SETTINGS)
+    _defaults = {name: row[0] for name, row in SETTINGS.items()}
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            choices, minimum = f.metadata["choices"], f.metadata["minimum"]
+        for name, (default, _, minimum, choices) in SETTINGS.items():
+            v = getattr(self, name)
             if choices is not None:
                 if v not in choices:
                     raise ConfigError("%s must be %s, got %r" % (
-                        f.name, " or ".join(map(repr, choices)), v))
-            elif v is None and f.default is None:
+                        name, " or ".join(map(repr, choices)), v))
+            elif v is None and default is None:
                 continue
             elif not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError("%s must be an integer, got %r"
-                                  % (f.name, v))
+                                  % (name, v))
             elif minimum is not None and v < minimum:
                 raise ConfigError("%s must be >= %d, got %d"
-                                  % (f.name, minimum, v))
+                                  % (name, minimum, v))
         if not is_prime(self.p):
             raise ConfigError("p = %d is not prime" % self.p)
         if self.kappa0 > max(self.p - 2, 0):
@@ -123,11 +123,9 @@ class RunConfig:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="padicosc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    for f in fields(RunConfig):
-        choices = f.metadata["choices"]
-        parser.add_argument("--" + f.name, type=None if choices else int,
-                            choices=choices, default=None,
-                            help=f.metadata["help"])
+    for name, (_, text, _, choices) in SETTINGS.items():
+        parser.add_argument("--" + name, type=None if choices else int,
+                            choices=choices, default=None, help=text)
     parser.add_argument("--config", default=None,
                         help="JSON config file (overridden by $%s)"
                              % CONFIG_ENV)
@@ -179,7 +177,6 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(ns: argparse.Namespace) -> RunConfig:
-    names = [f.name for f in fields(RunConfig)]
     values = {}
     path = os.environ.get(CONFIG_ENV) or ns.config
     if path:
@@ -196,12 +193,12 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
                               % (path, exc)) from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file %s must hold a JSON object" % path)
-        unknown = sorted(set(loaded) - set(names))
+        unknown = sorted(set(loaded) - set(SETTINGS))
         if unknown:
             raise ConfigError("config file %s has unknown keys: %s"
                               % (path, ", ".join(unknown)))
         values.update(loaded)
-    for name in names:
+    for name in SETTINGS:
         flag = getattr(ns, name)
         if flag is not None:
             values[name] = flag
@@ -211,11 +208,11 @@ def _load_config(ns: argparse.Namespace) -> RunConfig:
 # -- subcommand handlers ------------------------------------------------
 
 
-def _series_result(f) -> Tuple[dict, str]:
+def _series_result(f) -> tuple[dict, str]:
     return series_to_dict(f), format_series_file(f).rstrip("\n")
 
 
-def _cmd_teichmuller(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_teichmuller(ns, cfg: RunConfig) -> tuple[dict, str]:
     x = PadicNumber.from_int(ns.alpha, cfg.p, cfg.precision)
     w = teichmuller(x)
     a = angle(x)
@@ -226,24 +223,24 @@ def _cmd_teichmuller(ns, cfg: RunConfig) -> Tuple[dict, str]:
     return payload, text
 
 
-def _cmd_mahler_expand(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_mahler_expand(ns, cfg: RunConfig) -> tuple[dict, str]:
     _, samples = parse_samples_file(read_text_file(ns.path))
     return _series_result(mahler_expand(samples))
 
 
-def _cmd_vdp_expand(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_vdp_expand(ns, cfg: RunConfig) -> tuple[dict, str]:
     _, samples = parse_samples_file(read_text_file(ns.path))
     return _series_result(vdp_expand(samples))
 
 
-def _cmd_apply(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_apply(ns, cfg: RunConfig) -> tuple[dict, str]:
     f = parse_series_file(read_text_file(ns.path))
     if not isinstance(f, MahlerSeries):
         raise DomainError("apply works on mahler-basis series, got basis vdp")
     return _series_result(_apply_rule(ns.op, f))
 
 
-def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_commutator_check(ns, cfg: RunConfig) -> tuple[dict, str]:
     seed = ns.cmd_seed if ns.cmd_seed is not None else cfg.seed
     if seed is None:
         if os.environ.get(CI_ENV):
@@ -271,7 +268,7 @@ def _cmd_commutator_check(ns, cfg: RunConfig) -> Tuple[dict, str]:
     return payload, message
 
 
-def _cmd_kernel(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_kernel(ns, cfg: RunConfig) -> tuple[dict, str]:
     """Null space of the truncated M x M matrix.  `kernel raising`
     returns P_{M-1} only because the window drops the top column's
     image; a+ is injective."""
@@ -294,7 +291,7 @@ def _matrix_line(t: int, a) -> str:
     return "t=%d: %s" % (t, cells)
 
 
-def _cmd_orbit(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_orbit(ns, cfg: RunConfig) -> tuple[dict, str]:
     branch = Branch(cfg.p, ns.cmd_kappa0)
     seed_matrix = as_matrix("hamiltonian", cfg.m, cfg.p,
                             cfg.precision)
@@ -315,7 +312,7 @@ def _zeta_text(ev: ZetaBranchEval) -> str:
     return out + "]"
 
 
-def _cmd_zeta_interp(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_zeta_interp(ns, cfg: RunConfig) -> tuple[dict, str]:
     branch = Branch(cfg.p, cfg.kappa0)
     value = zeta_interp(ns.k, branch, precision=cfg.precision)
     ev = ZetaBranchEval(prime=cfg.p, kappa0=cfg.kappa0, s=1 - ns.k,
@@ -324,7 +321,7 @@ def _cmd_zeta_interp(ns, cfg: RunConfig) -> Tuple[dict, str]:
     return zeta_report_to_dict(ev), _zeta_text(ev)
 
 
-def _parse_levels(arg: str) -> List[int]:
+def _parse_levels(arg: str) -> list[int]:
     lo, sep, hi = arg.partition("..")
     if not sep:
         raise _UsageError("--levels expects A..B, got %r" % arg)
@@ -338,7 +335,7 @@ def _parse_levels(arg: str) -> List[int]:
     return list(range(a, b + 1))
 
 
-def _cmd_zeta_measure(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_zeta_measure(ns, cfg: RunConfig) -> tuple[dict, str]:
     branch = Branch(cfg.p, cfg.kappa0)
     levels = [cfg.level] if ns.levels is None else _parse_levels(ns.levels)
     evals = [zeta_measure(1 - ns.k, branch, regulator=cfg.regulator,
@@ -350,7 +347,7 @@ def _cmd_zeta_measure(ns, cfg: RunConfig) -> Tuple[dict, str]:
     return payload, "\n".join(_zeta_text(ev) for ev in evals)
 
 
-def _cmd_zeta_table(ns, cfg: RunConfig) -> Tuple[dict, str]:
+def _cmd_zeta_table(ns, cfg: RunConfig) -> tuple[dict, str]:
     if ns.kmax < 1:
         raise _UsageError("kmax must be positive, got %d" % ns.kmax)
     branch = Branch(cfg.p, cfg.kappa0)
@@ -383,7 +380,7 @@ _HANDLERS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         try:
             ns = _build_parser().parse_args(argv)

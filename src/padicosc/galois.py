@@ -14,14 +14,13 @@ so the operations are gated to odd primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import isqrt
-from typing import List, Optional, Tuple, Union
 
 from .errors import DomainError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _Frozen,
     is_primitive_root,
     is_prime,
     teichmuller,
@@ -43,7 +42,7 @@ def smallest_primitive_root(p: int) -> int:
     raise DomainError("no primitive root mod %d" % p)
 
 
-def fixed_generator(p: int, precision: Optional[int] = None) -> PadicNumber:
+def fixed_generator(p: int, precision: int | None = None) -> PadicNumber:
     """The distinguished primitive (p-1)-st root of unity: the
     Teichmuller lift of the smallest primitive root mod p."""
     _require_odd_prime(p)
@@ -70,7 +69,7 @@ def _dlog_mod_p(base: int, target: int, p: int) -> int:
     raise DomainError("%d is not a power of %d mod %d" % (target, base, p))
 
 
-def t_of(alpha: Union[PadicNumber, int], p: Optional[int] = None) -> int:
+def t_of(alpha: PadicNumber | int, p: int | None = None) -> int:
     """Cyclic coordinate of a unit: t with w(alpha) = fixed_generator^t."""
     if isinstance(alpha, PadicNumber):
         p = alpha.prime
@@ -88,12 +87,10 @@ def t_of(alpha: Union[PadicNumber, int], p: Optional[int] = None) -> int:
     return _dlog_mod_p(smallest_primitive_root(p), a0, p)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Frozen):
     """A residue class kappa0 mod p-1 labelling one branch."""
 
-    prime: int
-    kappa0: int
+    __slots__ = ("prime", "kappa0")
 
     def __post_init__(self):
         if not is_prime(self.prime):
@@ -104,13 +101,10 @@ class Branch:
                               % (top, self.kappa0))
 
 
-@dataclass(frozen=True)
-class GaloisElement:
+class GaloisElement(_Frozen):
     """A unit alpha together with its cyclic coordinate t."""
 
-    prime: int
-    alpha: PadicNumber
-    t: int
+    __slots__ = ("prime", "alpha", "t")
 
     def __post_init__(self):
         _require_odd_prime(self.prime)
@@ -128,16 +122,13 @@ class GaloisElement:
         return (teichmuller(self.alpha) - zeta**self.t).is_zero
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(_Frozen):
     """A scalar multiple of the canonical vacuum Omega = P_0."""
 
-    prime: int
-    omega: MahlerSeries
-    scale: PadicNumber
+    __slots__ = ("prime", "omega", "scale")
 
     @classmethod
-    def canonical(cls, p: int, precision: Optional[int] = None,
+    def canonical(cls, p: int, precision: int | None = None,
                   truncation: int = 4) -> "GroundState":
         n = DEFAULT_PRECISION if precision is None else precision
         return cls(prime=p,
@@ -152,7 +143,7 @@ def rho_apply(branch: Branch, element: GaloisElement,
     if not branch.prime == element.prime == state.prime:
         raise DomainError("mismatched primes")
     factor = teichmuller(element.alpha) ** branch.kappa0
-    return replace(state, scale=state.scale * factor)
+    return GroundState(state.prime, state.omega, state.scale * factor)
 
 
 def rho_prime_apply(branch: Branch, t: int, a: OperatorMatrix) -> OperatorMatrix:
@@ -168,7 +159,7 @@ def rho_prime_apply(branch: Branch, t: int, a: OperatorMatrix) -> OperatorMatrix
     return mat_scale(zeta**e, a)
 
 
-def orbit(branch: Branch, a: OperatorMatrix) -> Tuple[List[OperatorMatrix], int]:
+def orbit(branch: Branch, a: OperatorMatrix) -> tuple[list[OperatorMatrix], int]:
     """The full cycle over t = 0..p-2 and the least period of a.
 
     The period is found by honest matrix comparison, not by the gcd

@@ -22,11 +22,8 @@ window cannot see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
 from .errors import DomainError, PrecisionExhaustedError
-from .padics import PadicNumber, _split
+from .padics import PadicNumber, _Frozen, _split
 from .series import MahlerSeries, _min_exponent
 
 # operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
@@ -120,8 +117,7 @@ def commutator_defect(f: MahlerSeries) -> MahlerSeries:
 # -- matrix form -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_Frozen):
     """Sparse M x M matrix over Q_p on the Mahler coefficient window.
 
     entries holds (row, col, value) triplets sorted by position, without
@@ -129,14 +125,11 @@ class OperatorMatrix:
     among the stored entries.
     """
 
-    prime: int
-    dimension: int
-    entries: tuple
-    precision: int
+    __slots__ = ("prime", "dimension", "entries", "precision")
 
     @classmethod
     def from_dict(cls, p: int, dimension: int,
-                  entries: Dict[Tuple[int, int], PadicNumber],
+                  entries: dict[tuple[int, int], PadicNumber],
                   default_precision: int) -> "OperatorMatrix":
         kept = {pos: v for pos, v in entries.items() if not v.is_exact_zero}
         precisions = [v.precision for v in kept.values() if not v.is_zero]
@@ -144,7 +137,7 @@ class OperatorMatrix:
         triplets = tuple((i, j, v) for (i, j), v in sorted(kept.items()))
         return cls(prime=p, dimension=dimension, entries=triplets, precision=prec)
 
-    def to_dict(self) -> Dict[Tuple[int, int], PadicNumber]:
+    def to_dict(self) -> dict[tuple[int, int], PadicNumber]:
         return {(i, j): v for i, j, v in self.entries}
 
     def is_zero_matrix(self) -> bool:
@@ -197,7 +190,7 @@ def matrices_agree(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     return True
 
 
-def kernel_solve(a: OperatorMatrix) -> List[MahlerSeries]:
+def kernel_solve(a: OperatorMatrix) -> list[MahlerSeries]:
     """Basis of the null space by Gauss-Jordan elimination over Q_p.
 
     Pivots are chosen with maximal p-adic absolute value (smallest
@@ -215,7 +208,7 @@ def kernel_solve(a: OperatorMatrix) -> List[MahlerSeries]:
     rows = [[zero] * m for _ in range(m)]
     for i, j, v in a.entries:
         rows[i][j] = v
-    pivot_of_col: Dict[int, int] = {}
+    pivot_of_col: dict[int, int] = {}
     used = set()
     for col in range(m):
         best = None

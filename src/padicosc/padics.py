@@ -24,11 +24,9 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
-from typing import Optional
 
 from .errors import DomainError, PadicError, PrecisionExhaustedError
 
@@ -108,26 +106,83 @@ def n_minus(n: int, p: int) -> int:
     return n - ds[s] * p**s
 
 
-@dataclass(frozen=True, slots=True)
-class PadicNumber:
+class _Frozen:
+    """An immutable record, as a frozen dataclass: the fields are the
+    __slots__ down the class hierarchy, and equality (same class only),
+    hash, repr and pickling follow them.  _defaults holds the defaults
+    of trailing fields; __post_init__ runs once all are set."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(
+            name for k in reversed(cls.__mro__)
+            for name in k.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or len(values) != len(names) \
+                or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError("%s() takes the fields %s"
+                            % (type(self).__name__, ", ".join(names)))
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+
+class PadicNumber(_Frozen):
     """Element of Q_p known to finite precision.
 
     Nonzero: unit in [1, p**precision) coprime to p, value known modulo
     p**(valuation + precision).  Zero marker: unit = 0, precision = 0;
     known_to is the exponent up to which the value is known to vanish
     and valuation equals it (None and valuation 0 for the exact zero).
+    Immutable: every value is built through __init__, which writes the
+    slots through their descriptors, as __setattr__ refuses.
     """
 
-    prime: int
-    valuation: int
-    unit: int
-    precision: int
-    known_to: Optional[int] = None
+    __slots__ = ("prime", "valuation", "unit", "precision", "known_to")
+
+    def __init__(self, prime: int, valuation: int, unit: int, precision: int,
+                 known_to: int | None = None):
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
+        _set_known_to(self, known_to)
 
     # -- construction ------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int, known_to: Optional[int] = None) -> "PadicNumber":
+    def zero(cls, p: int, known_to: int | None = None) -> "PadicNumber":
         return cls(p, known_to or 0, 0, 0, known_to)
 
     @classmethod
@@ -199,7 +254,7 @@ class PadicNumber:
         return self.unit == 0 and self.known_to is None
 
     @property
-    def abs_precision(self) -> Optional[int]:
+    def abs_precision(self) -> int | None:
         """Exponent N such that the value is known modulo p**N (None = exact)."""
         if self.is_exact_zero:
             return None
@@ -216,7 +271,7 @@ class PadicNumber:
         v = self.valuation
         return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime ** (-v))
 
-    def norm_bound_exponent(self) -> Optional[int]:
+    def norm_bound_exponent(self) -> int | None:
         """e with |x|_p <= p**(-e); None means |x|_p = 0."""
         if self.is_exact_zero:
             return None
@@ -403,6 +458,10 @@ class PadicNumber:
                                  pow(self.unit, n, p**m), m)
 
 
+(_set_prime, _set_valuation, _set_unit, _set_precision,
+ _set_known_to) = (PadicNumber.__dict__[name].__set__
+                   for name in PadicNumber.__slots__)
+
 # -- Teichmuller character and friends --------------------------------
 
 
@@ -440,7 +499,7 @@ def _teichmuller_residue(p: int, r: int, n: int) -> int:
     return pow(r, mod, mod)
 
 
-def teichmuller(x: PadicNumber, precision: Optional[int] = None) -> PadicNumber:
+def teichmuller(x: PadicNumber, precision: int | None = None) -> PadicNumber:
     """The Teichmuller representative omega(x) of a unit x.
 
     omega(x) is the unique (p-1)-st root of unity congruent to x mod p.
@@ -460,7 +519,7 @@ def angle(x: PadicNumber) -> PadicNumber:
     return x / teichmuller(x)
 
 
-def unit_power(u: PadicNumber, s, precision: Optional[int] = None) -> PadicNumber:
+def unit_power(u: PadicNumber, s, precision: int | None = None) -> PadicNumber:
     """u**s for a principal unit u (u = 1 mod q, q = p or 4) and s in Z_p.
 
     s may be an int or a PadicNumber in Z_p; the power is one modular
@@ -469,12 +528,12 @@ def unit_power(u: PadicNumber, s, precision: Optional[int] = None) -> PadicNumbe
     p = u.prime
     if u.is_zero or u.valuation != 0 or u.residue(_q_digits(p)) != 1:
         raise DomainError("unit_power needs u in 1 + qZ_p")
+    _check_exponent(s, p, "exponent")
     n_out = u.precision if precision is None else min(precision, u.precision)
     t = u - 1
     if t.is_zero:
         # t is known to u's precision, which is at least n_out
         return PadicNumber.one(p, n_out)
-    _check_exponent(s, p, "exponent")
     if isinstance(s, PadicNumber):
         # u**(p**e) = 1 mod p**(v(t)+e), so a representative of s modulo
         # p**(n_out - v(t)) determines the answer mod p**n_out

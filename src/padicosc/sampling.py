@@ -5,8 +5,9 @@ seed reproduces the exact same objects, byte for byte after
 serialization.
 """
 
+from __future__ import annotations
+
 import random
-from typing import Optional
 
 from .padics import PadicNumber
 from .series import MahlerSeries
@@ -36,7 +37,7 @@ def random_unit(rng: random.Random, p: int, precision: int) -> PadicNumber:
 
 def random_mahler_series(rng: random.Random, p: int, truncation: int,
                          precision: int,
-                         tail_bound_exponent: Optional[int] = None
+                         tail_bound_exponent: int | None = None
                          ) -> MahlerSeries:
     coeffs = tuple(random_padic(rng, p, precision)
                    for _ in range(truncation))

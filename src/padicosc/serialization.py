@@ -16,8 +16,10 @@ Series and samples files are line oriented: one JSON header line,
 then one number record per line.  Blank lines are ignored.
 """
 
+from __future__ import annotations
+
 import json
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from collections.abc import Sequence
 
 from .errors import InputFormatError
 from .padics import DEFAULT_PRECISION, PadicNumber, is_prime
@@ -31,7 +33,7 @@ _BASIS_CLASSES = {"mahler": MahlerSeries, "vdp": VanDerPutSeries}
 _SAMPLES_TOKEN = "samples"
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """Canonical JSON text: sorted keys, no trailing newline."""
     return json.dumps(obj, sort_keys=True)
 
@@ -39,7 +41,7 @@ def dumps(obj: Any) -> str:
 # -- field checking ----------------------------------------------------
 
 
-def _get(d: dict, key: str, what: str) -> Any:
+def _get(d: dict, key: str, what: str):
     if key not in d:
         raise InputFormatError("%s: missing key %r" % (what, key))
     return d[key]
@@ -52,7 +54,7 @@ def _get_int(d: dict, key: str, what: str) -> int:
     return v
 
 
-def _get_opt_int(d: dict, key: str, what: str) -> Optional[int]:
+def _get_opt_int(d: dict, key: str, what: str) -> int | None:
     v = _get(d, key, what)
     if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
         raise InputFormatError(
@@ -67,7 +69,7 @@ def _get_prime(d: dict, what: str) -> int:
     return p
 
 
-def _require_dict(d: Any, what: str) -> dict:
+def _require_dict(d: object, what: str) -> dict:
     if not isinstance(d, dict):
         raise InputFormatError("%s: expected a JSON object" % what)
     return d
@@ -83,7 +85,7 @@ def padic_to_dict(x: PadicNumber) -> dict:
             "digits": list(x.digits()), "precision": x.precision}
 
 
-def padic_from_dict(d: Any, what: str = "number") -> PadicNumber:
+def padic_from_dict(d: object, what: str = "number") -> PadicNumber:
     d = _require_dict(d, what)
     p = _get_prime(d, what)
     if d.get("zero", False):
@@ -111,7 +113,7 @@ def padic_from_dict(d: Any, what: str = "number") -> PadicNumber:
     return PadicNumber(prime=p, valuation=v, unit=unit, precision=n)
 
 
-def _number_at_prime(rec: Any, p: int, what: str) -> PadicNumber:
+def _number_at_prime(rec: object, p: int, what: str) -> PadicNumber:
     """A number record that must carry the header prime p."""
     x = padic_from_dict(rec, what)
     if x.prime != p:
@@ -134,14 +136,14 @@ def padic_to_text(x: PadicNumber) -> str:
 # -- series ------------------------------------------------------------
 
 
-def series_to_dict(f: Union[MahlerSeries, VanDerPutSeries]) -> dict:
+def series_to_dict(f: MahlerSeries | VanDerPutSeries) -> dict:
     basis = "mahler" if isinstance(f, MahlerSeries) else "vdp"
     return {"basis": basis, "p": f.prime, "M": f.truncation,
             "coefficients": [padic_to_dict(c) for c in f.coefficients],
             "tail_bound_exponent": f.tail_bound_exponent}
 
 
-def _check_header(d: Any, what: str, allowed: Sequence[str]) -> Tuple[str, int, int]:
+def _check_header(d: object, what: str, allowed: Sequence[str]) -> tuple[str, int, int]:
     d = _require_dict(d, what)
     basis = _get(d, "basis", what)
     if basis not in allowed:
@@ -154,7 +156,7 @@ def _check_header(d: Any, what: str, allowed: Sequence[str]) -> Tuple[str, int, 
     return basis, p, m
 
 
-def series_from_dict(d: Any) -> Union[MahlerSeries, VanDerPutSeries]:
+def series_from_dict(d: object) -> MahlerSeries | VanDerPutSeries:
     what = "series"
     basis, p, m = _check_header(d, what, tuple(_BASIS_CLASSES))
     coeffs = _get(d, "coefficients", what)
@@ -173,7 +175,7 @@ def series_from_dict(d: Any) -> Union[MahlerSeries, VanDerPutSeries]:
 # -- series and samples files -----------------------------------------
 
 
-def _records(text: str, what: str) -> List[dict]:
+def _records(text: str, what: str) -> list[dict]:
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -188,7 +190,7 @@ def _records(text: str, what: str) -> List[dict]:
     return out
 
 
-def format_series_file(f: Union[MahlerSeries, VanDerPutSeries]) -> str:
+def format_series_file(f: MahlerSeries | VanDerPutSeries) -> str:
     d = series_to_dict(f)
     header = {"basis": d["basis"], "p": d["p"], "M": d["M"],
               "tail_bound_exponent": d["tail_bound_exponent"]}
@@ -197,7 +199,7 @@ def format_series_file(f: Union[MahlerSeries, VanDerPutSeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_series_file(text: str) -> Union[MahlerSeries, VanDerPutSeries]:
+def parse_series_file(text: str) -> MahlerSeries | VanDerPutSeries:
     what = "series file"
     records = _records(text, what)
     header = _require_dict(records[0], what + " header")
@@ -214,7 +216,7 @@ def format_samples_file(values: Sequence[PadicNumber], p: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_samples_file(text: str) -> Tuple[int, List[PadicNumber]]:
+def parse_samples_file(text: str) -> tuple[int, list[PadicNumber]]:
     """Sample values f(0), ..., f(M-1); returns (p, values)."""
     what = "samples file"
     records = _records(text, what)
@@ -243,7 +245,7 @@ def matrix_to_dict(a: OperatorMatrix) -> dict:
             "rows": [[i, j, padic_to_dict(v)] for i, j, v in a.entries]}
 
 
-def matrix_from_dict(d: Any) -> OperatorMatrix:
+def matrix_from_dict(d: object) -> OperatorMatrix:
     what = "matrix"
     d = _require_dict(d, what)
     p = _get_prime(d, what)
@@ -281,7 +283,7 @@ def orbit_to_dict(p: int, kappa0: int, period: int,
             "period": period, "orbit": [matrix_to_dict(a) for a in mats]}
 
 
-def orbit_from_dict(d: Any) -> Tuple[int, int, int, List[OperatorMatrix]]:
+def orbit_from_dict(d: object) -> tuple[int, int, int, list[OperatorMatrix]]:
     what = "orbit report"
     d = _require_dict(d, what)
     _check_schema(d, what)
@@ -302,7 +304,7 @@ def zeta_report_to_dict(ev: ZetaBranchEval) -> dict:
             "path": ev.path}
 
 
-def zeta_report_from_dict(d: Any) -> ZetaBranchEval:
+def zeta_report_from_dict(d: object) -> ZetaBranchEval:
     what = "zeta report"
     d = _require_dict(d, what)
     _check_schema(d, what)

@@ -19,35 +19,33 @@ exact-zero coefficients and values P_n(k) = 0 drop out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, inf
-from typing import Optional, Sequence, Union
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _Frozen,
     _split,
     hensel_digits,
     n_minus,
     vp_factorial,
 )
 
-Point = Union[int, PadicNumber]
+Point = int | PadicNumber
 
 
-def _min_exponent(*exponents: Optional[int]) -> Optional[int]:
+def _min_exponent(*exponents: int | None) -> int | None:
     """Combine tail bounds: None is a zero bound, smaller exponent wins."""
     known = [e for e in exponents if e is not None]
     return min(known) if known else None
 
 
-@dataclass(frozen=True)
-class _SeriesBase:
-    prime: int
-    coefficients: tuple
-    tail_bound_exponent: Optional[int] = None
+class _SeriesBase(_Frozen):
+    __slots__ = ("prime", "coefficients", "tail_bound_exponent")
+    _defaults = {"tail_bound_exponent": None}
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
@@ -71,7 +69,7 @@ class _SeriesBase:
         coeffs = tuple(a - b if subtract else a + b
                        for a, b in zip(self.coefficients, other.coefficients))
         tail = _min_exponent(self.tail_bound_exponent, other.tail_bound_exponent)
-        return replace(self, coefficients=coeffs, tail_bound_exponent=tail)
+        return type(self)(self.prime, coeffs, tail)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -80,17 +78,20 @@ class _SeriesBase:
         return self._combine(other, True)
 
     def __neg__(self):
-        return replace(self, coefficients=tuple(-c for c in self.coefficients))
+        return type(self)(self.prime, tuple(-c for c in self.coefficients),
+                          self.tail_bound_exponent)
 
 
-@dataclass(frozen=True)
 class MahlerSeries(_SeriesBase):
     """f(x) = sum c_n binomial(x, n) over the stored coefficients."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class VanDerPutSeries(_SeriesBase):
     """f(x) = sum v_n e_n(x), e_n the indicator of the disc around n."""
+
+    __slots__ = ()
 
 
 def basis_vector(p: int, n: int, truncation: int, precision: int) -> MahlerSeries:
@@ -190,7 +191,7 @@ def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
     return PadicNumber._sum(p, terms)
 
 
-def mahler_expand(samples: Sequence[PadicNumber], truncation: Optional[int] = None) -> MahlerSeries:
+def mahler_expand(samples: Sequence[PadicNumber], truncation: int | None = None) -> MahlerSeries:
     """Coefficients from forward differences: c_n = (Delta^n f)(0).
 
     Pure subtractions, so the coefficients are exact at sample precision.
@@ -223,7 +224,7 @@ def mahler_expand(samples: Sequence[PadicNumber], truncation: Optional[int] = No
 # -- van der Put basis -------------------------------------------------
 
 
-def vdp_basis_eval(n: int, x: Point, p: Optional[int] = None) -> int:
+def vdp_basis_eval(n: int, x: Point, p: int | None = None) -> int:
     """e_n(x): 1 on the disc |x - n|_p < 1/n (all of Z_p for n = 0).
 
     For p**s <= n < p**(s+1) this is the congruence x = n mod p**(s+1),
@@ -275,7 +276,7 @@ def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:
 # -- conversion and norm -----------------------------------------------
 
 
-def sup_norm_exponent(f) -> Optional[int]:
+def sup_norm_exponent(f) -> int | None:
     """e with sup_n |c_n|_p <= p**(-e) over stored and tail coefficients.
 
     None means the norm is exactly zero.  Exact for exact coefficients
@@ -305,10 +306,10 @@ def convert(f: MahlerSeries) -> VanDerPutSeries:
     samples = [mahler_eval(f, k) for k in range(m)]
     g = vdp_expand(samples)
     tail = _min_exponent(f.tail_bound_exponent, sup_norm_exponent(f))
-    return replace(g, tail_bound_exponent=tail)
+    return VanDerPutSeries(g.prime, g.coefficients, tail)
 
 
-def convert_back(g: VanDerPutSeries, truncation: Optional[int] = None) -> MahlerSeries:
+def convert_back(g: VanDerPutSeries, truncation: int | None = None) -> MahlerSeries:
     """Sample g at 0..M-1 and expand in the Mahler basis.
 
     Round-tripping a polynomial series through convert/convert_back
@@ -319,4 +320,4 @@ def convert_back(g: VanDerPutSeries, truncation: Optional[int] = None) -> Mahler
     samples = [vdp_eval(g, k) for k in range(m)]
     f = mahler_expand(samples, m)
     tail = _min_exponent(g.tail_bound_exponent, sup_norm_exponent(g))
-    return replace(f, tail_bound_exponent=tail)
+    return MahlerSeries(f.prime, f.coefficients, tail)

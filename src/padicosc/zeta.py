@@ -17,17 +17,16 @@ residue loop, one term per unit (s > 0, generic p-adic s, low N).
 from __future__ import annotations
 
 import math
-import threading
-
-from dataclasses import dataclass
+from _thread import allocate_lock
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, List, Optional, Union
 
 from .errors import DomainError, PoleError, PrecisionExhaustedError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
+    _Frozen,
     _check_exponent,
     _q_digits,
     _teichmuller_residue,
@@ -40,9 +39,9 @@ from .galois import Branch
 
 # -- Bernoulli numbers --------------------------------------------------
 
-_BERNOULLI: List[Fraction] = [Fraction(1)]
-_ZIGZAG: List[int] = [1]  # boustrophedon row n = len(_BERNOULLI) - 1
-_BERNOULLI_LOCK = threading.Lock()
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+_ZIGZAG: list[int] = [1]  # boustrophedon row n = len(_BERNOULLI) - 1
+_BERNOULLI_LOCK = allocate_lock()
 
 
 def bernoulli(k: int) -> Fraction:
@@ -87,7 +86,7 @@ def _disc_constants(regulator: int, q: int, mod: int):
 
 
 def measure_value(a: int, level: int, regulator: int, p: int,
-                  precision: Optional[int] = None) -> PadicNumber:
+                  precision: int | None = None) -> PadicNumber:
     """E_{1,r}(a + p^level Z_p) = B1(a/q) - r B1((R a mod q)/q), q = p^level.
 
     Closed form r floor(R a/q) - slope a + (r - 1)/2, with R = r^-1 mod q
@@ -103,18 +102,14 @@ def measure_value(a: int, level: int, regulator: int, p: int,
     return PadicNumber.from_rational(num, 2, p, n)
 
 
-@dataclass(frozen=True)
-class MazurMeasure:
+class MazurMeasure(_Frozen):
     """All disc values of the regularized measure at one level."""
 
-    prime: int
-    regulator: int
-    level: int
-    values: tuple
+    __slots__ = ("prime", "regulator", "level", "values")
 
     @classmethod
     def build(cls, p: int, regulator: int, level: int,
-              precision: Optional[int] = None) -> "MazurMeasure":
+              precision: int | None = None) -> "MazurMeasure":
         vals = tuple(measure_value(a, level, regulator, p, precision)
                      for a in range(p**level))
         return cls(prime=p, regulator=regulator, level=level, values=vals)
@@ -137,14 +132,14 @@ class MazurMeasure:
 
 
 def total_mass(regulator: int, p: int,
-               precision: Optional[int] = None) -> PadicNumber:
+               precision: int | None = None) -> PadicNumber:
     """E_{1,r}(Z_p) = (r - 1)/2, the same at every level: the level-0 disc."""
     return measure_value(0, 0, regulator, p, precision)
 
 
 def integrate_units(g: Callable[[int], PadicNumber], level: int,
                     regulator: int, p: int,
-                    precision: Optional[int] = None) -> PadicNumber:
+                    precision: int | None = None) -> PadicNumber:
     """Riemann sum of g over the units mod p^level against E_{1,r}.
 
     g maps a unit residue to a PadicNumber (exact ints work too).  The
@@ -178,18 +173,13 @@ def default_regulator(p: int) -> int:
 # -- the two evaluation paths -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaBranchEval:
-    """One zeta evaluation with its provenance and error bound."""
+class ZetaBranchEval(_Frozen):
+    """One zeta evaluation with its provenance and error bound: s is an
+    int or a PadicNumber; regulator, level and error_bound_exponent are
+    None on the interpolation path."""
 
-    prime: int
-    kappa0: int
-    s: Union[int, PadicNumber]
-    regulator: Optional[int]
-    level: Optional[int]
-    value: PadicNumber
-    error_bound_exponent: Optional[int]
-    path: str
+    __slots__ = ("prime", "kappa0", "s", "regulator", "level", "value",
+                 "error_bound_exponent", "path")
 
 
 def _require_even_branch(branch: Branch) -> None:
@@ -199,7 +189,7 @@ def _require_even_branch(branch: Branch) -> None:
 
 
 def zeta_interp(k: int, branch: Branch,
-                precision: Optional[int] = None) -> PadicNumber:
+                precision: int | None = None) -> PadicNumber:
     """Exact interpolation value -(1 - p^(k-1)) B_k / k at s = 1 - k.
 
     Only branch-matched k (k = kappa0 mod p-1; mod 2 when p = 2) hit
@@ -342,9 +332,9 @@ def _floor_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-def zeta_measure(s, branch: Branch, regulator: Optional[int] = None,
+def zeta_measure(s, branch: Branch, regulator: int | None = None,
                  level: int = 5,
-                 precision: Optional[int] = None) -> ZetaBranchEval:
+                 precision: int | None = None) -> ZetaBranchEval:
     """Riemann-sum evaluation of the branch zeta function at s in Z_p.
 
     The prefactor denominator <r>^(1-s) w(r)^kappa0 - 1 fixes the

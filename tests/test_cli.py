@@ -4,12 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 import padicosc
-from padicosc.cli import RunConfig, main
+from padicosc.cli import SETTINGS, main
 from padicosc.padics import PadicNumber
 from padicosc.serialization import (
     format_samples_file,
@@ -264,6 +263,20 @@ def test_closed_stdout_exit_1_without_traceback():
     assert proc.stderr == "error: stdout closed early\n"
 
 
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # every CLI process pays for what importing padicosc.cli loads; run
+    # without site, as the benchmark's CLI children do
+    src = os.path.dirname(os.path.dirname(padicosc.__file__))
+    heavy = ("dataclasses", "typing", "inspect", "threading")
+    code = ("import padicosc.cli, sys; "
+            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0 and "subcommand" in out
@@ -318,10 +331,10 @@ SETTING_CASES = {
 
 
 def test_settings_are_pinned():
-    assert [f.name for f in fields(RunConfig)] == list(SETTING_CASES)
+    assert list(SETTINGS) == list(SETTING_CASES)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+@pytest.mark.parametrize("name", list(SETTINGS))
 def test_setting_as_flag_or_config_key(capsys, tmp_path, name):
     value, args = SETTING_CASES[name]
     cfg = tmp_path / "cfg.json"

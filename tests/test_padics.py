@@ -342,6 +342,8 @@ def unit_power_oracle(u: PadicNumber, s, precision=None) -> PadicNumber:
     sum_n C(s, n) (u - 1)**n with exact integer binomial coefficients:
     term n vanishes mod p**N once n*v(u - 1) >= N."""
     p = u.prime
+    if isinstance(s, PadicNumber) and not s.is_zero and s.valuation < 0:
+        raise DomainError("exponent must lie in Z_p")   # even at u = 1
     n_out = u.precision if precision is None else min(precision, u.precision)
     t = u - 1
     if t.is_zero:
@@ -543,3 +545,11 @@ def test_unit_power_rejects_bad_inputs():
     u = PadicNumber.from_int(6, 5, 8)
     with pytest.raises(DomainError):
         unit_power(u, PadicNumber.from_rational(1, 5, 5, 8))  # exponent not in Z_5
+
+
+def test_unit_power_checks_the_exponent_at_one():
+    one = PadicNumber.one(5, 8)
+    with pytest.raises(DomainError, match="exponent must be an int"):
+        unit_power(one, "abc")
+    with pytest.raises(DomainError, match="exponent lives in a different Q_p"):
+        unit_power(one, PadicNumber.from_int(3, 7, 8))
