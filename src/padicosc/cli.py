@@ -2,7 +2,8 @@
 
 One subcommand per invocation, JSON (default) or text on stdout,
 diagnostics on stderr.  Exit status: 0 success, 1 domain/config/input
-error, 2 precision exhaustion.
+error, 2 precision exhaustion.  Each subparser carries its handler
+(set_defaults); _EXITS is the one table of stderr labels and statuses.
 
 Every global flag but --config is a config key of the same name; both
 are defined once, by a row of SETTINGS, which is also a RunConfig field
@@ -29,8 +30,7 @@ from .errors import (
     PoleError,
     PrecisionExhaustedError,
 )
-from .padics import (PadicNumber, _Frozen, _torsion_order, angle, is_prime,
-                     teichmuller)
+from .padics import PadicNumber, _Frozen, _torsion_order, angle, teichmuller
 from .series import MahlerSeries, mahler_expand, vdp_expand
 from .operators import (
     OPERATOR_NAMES,
@@ -108,16 +108,13 @@ class RunConfig(_Frozen):
             elif minimum is not None and v < minimum:
                 raise ConfigError("%s must be >= %d, got %d"
                                   % (name, minimum, v))
-        if not is_prime(self.p):
-            raise ConfigError("p = %d is not prime" % self.p)
-        if self.kappa0 > max(self.p - 2, 0):
-            raise ConfigError("kappa0 = %d out of range 0..%d for p = %d"
-                              % (self.kappa0, max(self.p - 2, 0), self.p))
-        if self.regulator is not None:
-            try:
+        # p and kappa0 follow Branch's rules, the regulator zeta's
+        try:
+            Branch(self.p, self.kappa0)
+            if self.regulator is not None:
                 _validate_regulator(self.regulator, self.p)
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from None
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -134,43 +131,53 @@ def _build_parser() -> _Parser:
                                 metavar="subcommand")
 
     s = sub.add_parser("teichmuller", help="omega(alpha) and <alpha>")
+    s.set_defaults(handler=_cmd_teichmuller)
     s.add_argument("alpha", type=int)
 
     s = sub.add_parser("mahler-expand",
                        help="binomial-basis series from a samples file")
+    s.set_defaults(handler=_cmd_expand, expand=mahler_expand)
     s.add_argument("path")
 
     s = sub.add_parser("vdp-expand",
                        help="van der Put series from a samples file")
+    s.set_defaults(handler=_cmd_expand, expand=vdp_expand)
     s.add_argument("path")
 
     s = sub.add_parser("apply", help="apply a ladder operator to a series")
+    s.set_defaults(handler=_cmd_apply)
     s.add_argument("op", choices=OPERATOR_NAMES)
     s.add_argument("path")
 
     s = sub.add_parser("commutator-check",
                        help="[a-, a+] = 1 on seeded random series")
+    s.set_defaults(handler=_cmd_commutator_check)
     s.add_argument("--trials", type=int, default=20)
     s.add_argument("--seed", dest="cmd_seed", type=int, default=None)
 
     s = sub.add_parser("kernel", help="null-space basis of an operator")
+    s.set_defaults(handler=_cmd_kernel)
     s.add_argument("op", choices=OPERATOR_NAMES)
 
     s = sub.add_parser("orbit", help="cyclic branch orbit of a matrix")
+    s.set_defaults(handler=_cmd_orbit)
     s.add_argument("cmd_kappa0", metavar="kappa0", type=int)
 
     s = sub.add_parser("zeta-interp",
                        help="zeta value at s = 1-k by exact interpolation")
+    s.set_defaults(handler=_cmd_zeta_interp)
     s.add_argument("k", type=int)
 
     s = sub.add_parser("zeta-measure",
                        help="zeta value at s = 1-k by the measure sum")
+    s.set_defaults(handler=_cmd_zeta_measure)
     s.add_argument("k", type=int)
     s.add_argument("--levels", default=None, metavar="A..B",
                    help="evaluate at every level in the range, e.g. 3..7")
 
     s = sub.add_parser("zeta-table",
                        help="interpolated values for matched k <= kmax")
+    s.set_defaults(handler=_cmd_zeta_table)
     s.add_argument("kmax", type=int)
 
     return parser
@@ -223,14 +230,9 @@ def _cmd_teichmuller(ns, cfg: RunConfig) -> tuple[dict, str]:
     return payload, text
 
 
-def _cmd_mahler_expand(ns, cfg: RunConfig) -> tuple[dict, str]:
+def _cmd_expand(ns, cfg: RunConfig) -> tuple[dict, str]:
     _, samples = parse_samples_file(read_text_file(ns.path))
-    return _series_result(mahler_expand(samples))
-
-
-def _cmd_vdp_expand(ns, cfg: RunConfig) -> tuple[dict, str]:
-    _, samples = parse_samples_file(read_text_file(ns.path))
-    return _series_result(vdp_expand(samples))
+    return _series_result(ns.expand(samples))
 
 
 def _cmd_apply(ns, cfg: RunConfig) -> tuple[dict, str]:
@@ -366,18 +368,17 @@ def _cmd_zeta_table(ns, cfg: RunConfig) -> tuple[dict, str]:
     return payload, "\n".join(lines) if lines else "no matched k <= %d" % ns.kmax
 
 
-_HANDLERS = {
-    "teichmuller": _cmd_teichmuller,
-    "mahler-expand": _cmd_mahler_expand,
-    "vdp-expand": _cmd_vdp_expand,
-    "apply": _cmd_apply,
-    "commutator-check": _cmd_commutator_check,
-    "kernel": _cmd_kernel,
-    "orbit": _cmd_orbit,
-    "zeta-interp": _cmd_zeta_interp,
-    "zeta-measure": _cmd_zeta_measure,
-    "zeta-table": _cmd_zeta_table,
-}
+# (error class, stderr label, exit status).  The first matching row wins,
+# so each subclass sits above its base (see errors.py and _UsageError).
+_EXITS = (
+    (_UsageError, "usage error", 1),
+    (ConfigError, "config error", 1),
+    (InputFormatError, "input format error", 1),
+    (PoleError, "domain error (pole)", 1),
+    (DomainError, "domain error", 1),
+    (PrecisionExhaustedError, "precision exhausted", 2),
+    (PadicError, "error", 1),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,28 +389,11 @@ def main(argv: list[str] | None = None) -> int:
             # argparse only exits directly for --help
             return int(exc.code or 0)
         cfg = _load_config(ns)
-        payload, text = _HANDLERS[ns.subcommand](ns, cfg)
-    except _UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
-    except InputFormatError as exc:
-        print("input format error: %s" % exc, file=sys.stderr)
-        return 1
-    except PoleError as exc:
-        print("domain error (pole): %s" % exc, file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print("domain error: %s" % exc, file=sys.stderr)
-        return 1
-    except PrecisionExhaustedError as exc:
-        print("precision exhausted: %s" % exc, file=sys.stderr)
-        return 2
+        payload, text = ns.handler(ns, cfg)
     except PadicError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        _, label, status = next(r for r in _EXITS if isinstance(exc, r[0]))
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return status
     if cfg.output == "json":
         payload["schema_version"] = SCHEMA_VERSION
         text = dumps(payload)

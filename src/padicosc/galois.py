@@ -14,8 +14,6 @@ so the operations are gated to odd primes.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import DomainError
 from .padics import (
     DEFAULT_PRECISION,
@@ -36,55 +34,32 @@ def _require_odd_prime(p: int) -> None:
 
 def smallest_primitive_root(p: int) -> int:
     _require_odd_prime(p)
-    for g in range(2, p):
-        if is_primitive_root(g, p):
-            return g
-    raise DomainError("no primitive root mod %d" % p)
+    return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
 def fixed_generator(p: int, precision: int | None = None) -> PadicNumber:
     """The distinguished primitive (p-1)-st root of unity: the
     Teichmuller lift of the smallest primitive root mod p."""
-    _require_odd_prime(p)
     n = DEFAULT_PRECISION if precision is None else precision
     g = smallest_primitive_root(p)
     return teichmuller(PadicNumber.from_int(g, p, n))
 
 
-def _dlog_mod_p(base: int, target: int, p: int) -> int:
-    """Discrete log in F_p*, baby-step giant-step."""
-    order = p - 1
-    step = isqrt(order - 1) + 1
-    baby = {}
-    e = 1
-    for j in range(step):
-        baby.setdefault(e, j)
-        e = e * base % p
-    giant = pow(base, -step, p)
-    gamma = target % p
-    for i in range(step + 1):
-        if gamma in baby:
-            return (i * step + baby[gamma]) % order
-        gamma = gamma * giant % p
-    raise DomainError("%d is not a power of %d mod %d" % (target, base, p))
-
-
 def t_of(alpha: PadicNumber | int, p: int | None = None) -> int:
-    """Cyclic coordinate of a unit: t with w(alpha) = fixed_generator^t."""
+    """Cyclic coordinate of a unit: t with w(alpha) = fixed_generator^t.
+
+    t is found by scanning the powers of g = smallest_primitive_root(p)
+    for alpha mod p: p is small here, as Branch trial-divides it."""
     if isinstance(alpha, PadicNumber):
         p = alpha.prime
-        _require_odd_prime(p)
-        if alpha.is_zero or alpha.valuation != 0:
-            raise DomainError("cyclic coordinate needs a unit")
-        a0 = alpha.residue(1)
-    else:
-        if p is None:
-            raise DomainError("integer input needs an explicit prime")
-        _require_odd_prime(p)
-        if alpha % p == 0:
-            raise DomainError("cyclic coordinate needs a unit")
-        a0 = alpha % p
-    return _dlog_mod_p(smallest_primitive_root(p), a0, p)
+        unit = not alpha.is_zero and alpha.valuation == 0
+        alpha = alpha.residue(1) if unit else 0
+    elif p is None:
+        raise DomainError("integer input needs an explicit prime")
+    g = smallest_primitive_root(p)      # checks that p is an odd prime
+    if alpha % p == 0:
+        raise DomainError("cyclic coordinate needs a unit")
+    return [pow(g, t, p) for t in range(p - 1)].index(alpha % p)
 
 
 class Branch(_Frozen):
@@ -94,7 +69,8 @@ class Branch(_Frozen):
 
     def __post_init__(self):
         if not is_prime(self.prime):
-            raise DomainError("branch needs a prime, got %r" % (self.prime,))
+            raise DomainError("branch needs a prime; %r is not prime"
+                              % (self.prime,))
         top = max(self.prime - 2, 0)
         if not 0 <= self.kappa0 <= top:
             raise DomainError("kappa0 must lie in [0, %d], got %r"

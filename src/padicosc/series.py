@@ -25,7 +25,6 @@ from math import comb, inf
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
-    DEFAULT_PRECISION,
     PadicNumber,
     _Frozen,
     _split,
@@ -154,11 +153,7 @@ def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
     p = x.prime
     *_, (v, u, m) = _basis_values(x, n + 1)
     if n == 0:
-        if x.is_zero:
-            m = x.known_to if x.known_to is not None else DEFAULT_PRECISION
-        else:
-            m = x.precision
-        return PadicNumber.one(p, max(m, 1))
+        return PadicNumber.one(p)           # P_0 = 1 exactly, as from_int(1)
     if x.is_exact_zero:
         return PadicNumber.zero(p)          # binomial(0, n) = 0 for n >= 1
     return PadicNumber._make(p, v, u, m - v)

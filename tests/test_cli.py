@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import padicosc
+from padicosc import cli
 from padicosc.cli import SETTINGS, main
 from padicosc.padics import PadicNumber
 from padicosc.serialization import (
@@ -212,6 +213,17 @@ def test_malformed_input_exit_1(capsys, tmp_path):
 def test_pole_exit_1(capsys):
     rc, _, err = run(capsys, "--p", "5", "--kappa0", "0", "zeta-measure", "0")
     assert rc == 1 and err.startswith("domain error (pole)")
+
+
+def test_exit_table_resolves_each_class_to_its_row(capsys, monkeypatch):
+    # a base class listed above a subclass would shadow the subclass's
+    # row; no real failure reaches the last row, PadicError -> "error"
+    for cls, label, status in cli._EXITS:
+        def fail(ns, cfg, exc=cls("boom")):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_kernel", fail)
+        rc, out, err = run(capsys, "kernel", "raising")
+        assert (rc, out, err) == (status, "", "%s: boom\n" % label), cls
 
 
 def test_precision_exhaustion_exit_2(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from padicosc.errors import DomainError
-from padicosc.padics import PadicNumber, teichmuller
+from padicosc.padics import PadicNumber, is_prime, teichmuller
 from padicosc.series import mahler_eval
 from padicosc.operators import (
     apply_lowering,
@@ -97,10 +97,12 @@ def test_t_of_rejects_non_units():
 
 
 def test_t_of_inverts_generator_powers():
-    for p in (5, 11, 97):
+    for p in (q for q in range(3, 100) if is_prime(q)):
         g = smallest_primitive_root(p)
         for t in range(p - 1):
-            assert t_of(pow(g, t, p), p=p) == t
+            a = pow(g, t, p)
+            assert t_of(a, p=p) == t, (p, t)
+            assert t_of(PadicNumber.from_int(a, p, 8)) == t, (p, t)
 
 
 def test_element_consistency():

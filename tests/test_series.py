@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from padicosc.errors import DomainError, PrecisionExhaustedError
-from padicosc.padics import PadicNumber, n_minus, vp, vp_factorial
+from padicosc.padics import (DEFAULT_PRECISION, PadicNumber, n_minus, vp,
+                             vp_factorial)
 from padicosc.series import (
     MahlerSeries,
     VanDerPutSeries,
@@ -47,9 +48,13 @@ def random_unit_series(rng, p, m, precision=16) -> MahlerSeries:
 
 def test_p0_is_one_everywhere():
     for x in (PadicNumber.from_int(9, 5, 6), PadicNumber.zero(5),
-              PadicNumber.from_int(14, 5, 3)):
+              PadicNumber.from_int(14, 5, 3),
+              PadicNumber.zero(5, known_to=-2)):
         r = mahler_basis_eval(0, x)
         assert r.unit == 1 and r.valuation == 0
+        # exact, whatever x is known to: the precision from_int(1) gets
+        assert r.precision == DEFAULT_PRECISION
+        assert r == PadicNumber.from_int(1, 5)
 
 
 def test_p2_at_three():
@@ -373,11 +378,7 @@ def oracle_basis_eval(n, x):
     if not x.is_zero and x.valuation < 0:
         raise DomainError("P_n is defined on Z_p")
     if n == 0:
-        if x.is_zero:
-            m = x.known_to if x.known_to is not None else 32
-        else:
-            m = x.precision
-        return PadicNumber.one(p, max(m, 1))
+        return PadicNumber.one(p)
     if x.is_exact_zero:
         return PadicNumber.zero(p)
     nx = x.abs_precision
