@@ -9,9 +9,11 @@ E_{1,r}(a) = B1(a/q) - r B1((r^-1 a mod q)/q) (Washington, Cyclotomic
 Fields, Ch. 12), then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
 The unit sum runs over plain integers mod p^digits.  Its two kernels give
-the same residue: floor sums when the exponent e = -s is a small integer
->= 0, about (e+2)^2 bit_length(p^N) work per progression, else the
-residue loop, one term per unit (s > 0, generic p-adic s, low N).
+the same residue.  Class sums serve an exponent e = -s that is a small
+integer >= 0: E_{1,r} is constant on each class mod r, so each class of
+units is a progression whose e-th power sum has a closed form, about
+(e+1) r work per unit class.  The residue loop, one term per unit, serves
+the rest (s > 0, generic p-adic s, low N).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from _thread import allocate_lock
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError, PoleError, PrecisionExhaustedError
 from .padics import (
@@ -229,16 +232,17 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
 
     The residue loop, one term per unit: zeta_measure runs it for a
     negative or large exponent and at low levels, and it is the test
-    oracle of _floor_unit_sum.
+    oracle of _class_unit_sum.
     """
     q = p**level
     mod = p**digits
     rinv, slope, half = _disc_constants(regulator, q, mod)
     stride, classes = _unit_classes(p, digits)
-    e_om = (kappa0 - 1) % _torsion_order(p)
+    order = _torsion_order(p)
+    e_om = (kappa0 - 1) % order
     acc = 0
     for c, w in classes:
-        winv = pow(w, -1, mod)
+        winv = pow(w, order - 1, mod)  # w^-1: w^order = 1
         part = 0
         for a in range(c, q, stride):
             mu = regulator * (rinv * a // q) - slope * a + half
@@ -247,88 +251,62 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-def _progressions(p: int, kappa0: int, exponent: int, level: int,
-                  digits: int):
-    """(start, step, count, weight w(c)^(kappa0-1-exponent)) of the
-    progressions of units that _floor_unit_sum sums over."""
+def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
+                    level: int, digits: int) -> int:
+    """_unit_sum for exponent e >= 0 by class sums, the same residue.
+
+    For 0 < a < q, E_{1,r}(a) = m + (r - 1)/2 with m = (a - r (R a mod q))/q
+    = a q^-1 mod |r| in [1 - r, 0] (r > 0) or [1, |r|] (r < 0), so the
+    measure is constant on each class a mod |r|.  Each progression of units
+    a = A + D t, D = step |r|, t < n, of one class then needs only
+    sum (A + D t)^e = sum_i C(e, i) A^(e-i) D^i F_i(n), with the power sums
+    F_i(n) = sum_{t<n} t^i = sum_k k! S(i, k) C(n, k + 1) in integers.
+    """
     q, mod, order = p**level, p**digits, _torsion_order(p)
-    if (kappa0 - 1 - exponent) % order == 0:
-        # every weight is 1: all a < q less the multiples of p
-        return [(0, 1, q, 1), (0, p, q // p, mod - 1)]
-    stride, classes = _unit_classes(p, digits)
-    return [(c, stride, len(range(c, q, stride)),
-             pow(w, (kappa0 - 1 - exponent) % order, mod)) for c, w in classes]
+    rinv, slope, half = _disc_constants(regulator, q, mod)
+    e, size = exponent, abs(regulator)
+    stirling = [[1]]  # k! S(i, k) = k (k! S(i-1, k) + (k-1)! S(i-1, k-1))
+    for i in range(e):
+        row = stirling[-1] + [0]
+        stirling.append([0] + [k * (row[k] + row[k - 1])
+                               for k in range(1, i + 2)])
+    comb_e = [math.comb(e, i) for i in range(e + 1)]
 
-
-def _progression_sums(e, rinv, q, start, step, count, mod):
-    """(sum a^e, sum a^(e+1), sum a^e floor(rinv a/q)) mod `mod` over
-    a = start + step*t, 0 <= t < count, by the universal Euclid recursion
-    on the lattice path of floor((rinv step t + b)/q).  A node (dx, dy,
-    s0, s1) is a run of path moves: s0[i], s1[i] sum x^i, x^i y (i <= e+1)
-    where it moves right; joining shifts the second run by binomials."""
-    n = e + 2
-    binom = [[math.comb(i, j) for j in range(i + 1)] for i in range(n)]
-    zeros = [0] * n
-    ident = (0, 0, zeros, zeros)
-
-    def join(a, b):
-        if a is ident or b is ident:
-            return b if a is ident else a
-        dx, dy, s0, s1 = a[0], a[1], a[2][:], a[3][:]
-        pw = [pow(dx, i, mod) for i in range(n)]
-        for i, row in enumerate(binom):
-            t0 = t1 = 0
-            for j, cij in enumerate(row):
-                c = cij * pw[i - j]
-                t0 += c * b[2][j]
-                t1 += c * b[3][j]
-            s0[i] = (s0[i] + t0) % mod
-            s1[i] = (s1[i] + t1 + dy * t0) % mod
-        return (dx + b[0]) % mod, (dy + b[1]) % mod, s0, s1
-
-    def power(a, k):
-        out = ident
-        for bit in bin(k)[2:]:
-            out = join(out, out)
-            if bit == "1":
-                out = join(out, a)
+    def scaled_sums(n, step):
+        # C(e, i) D^i F_i(n) mod p^digits, i = 0..e
+        binom, c = [], n
+        for k in range(e + 1):
+            binom.append(c % mod)
+            c = c * (n - k - 1) // (k + 2)
+        out, d = [], 1
+        for row, ce in zip(stirling, comb_e):
+            out.append(sum(map(mul, row, binom)) * ce * d % mod)
+            d = d * step * size % mod
         return out
 
-    y0, b = divmod(rinv * start, q)
-    first = [pow(start, i, mod) for i in range(n)]
-    node = (start % mod, y0 % mod, first, [f * y0 % mod for f in first])
-    up = (0, 1, zeros, zeros)
-    right = (step % mod, 0, [pow(step, i, mod) for i in range(n)], zeros)
-    big_p, big_q, big_l, tail = rinv * step, q, count - 1, []
-    while True:
-        right = join(power(up, big_p // big_q), right)
-        big_p %= big_q
-        m = (big_p * big_l + b) // big_q
-        if m == 0:
-            break
-        node = join(node, join(power(right, (big_q - b - 1) // big_p), up))
-        tail.append(power(right, big_l - (big_q * m - b - 1) // big_p))
-        big_p, big_q, b, big_l = big_q, big_p, (big_q - b - 1) % big_p, m - 1
-        up, right = right, up
-    for t in [power(right, big_l)] + tail[::-1]:
-        node = join(node, t)
-    return node[2][e], node[2][e + 1], node[3][e]
-
-
-def _floor_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
-                    level: int, digits: int) -> int:
-    """_unit_sum for exponent e >= 0 by floor sums, the same residue:
-    <a>^e w(a)^(kappa0-1) E_{1,r}(a) = w(c)^(kappa0-1-e) a^e (r floor(R a/q)
-    - slope a + half), so a progression needs the sums of a^e, a^(e+1) and
-    a^e floor(R a/q) only (Concrete Mathematics 3.5)."""
-    q, mod = p**level, p**digits
-    rinv, slope, half = _disc_constants(regulator, q, mod)
-    acc = 0
-    for start, step, count, weight in _progressions(p, kappa0, exponent,
-                                                    level, digits):
-        s0, s1, f = _progression_sums(exponent, rinv, q, start, step,
-                                      count, mod)
-        acc += weight * (regulator * f - slope * s1 + half * s0)
+    if (kappa0 - 1 - e) % order == 0:
+        # every weight is 1: all 0 < a < q less the multiples of p
+        runs = [(1, 1, q - 1, 1), (p, p, q // p - 1, mod - 1)]
+    else:
+        stride, classes = _unit_classes(p, digits)
+        runs = [(c, stride, (q - 1 - c) // stride + 1,
+                 pow(w, (kappa0 - 1 - e) % order, mod)) for c, w in classes]
+    acc, sums = 0, {}
+    for start, step, count, weight in runs:
+        # count = n |r| + extra: the first `extra` classes run one term longer
+        n, extra = divmod(count, size)
+        if (n, step) not in sums:
+            sums[n, step] = scaled_sums(n, step)
+        part = 0
+        for j in range(min(size, count)):
+            a = start + step * j
+            h, x = 0, a % mod
+            for g in sums[n, step]:
+                h = (h * x + g) % mod
+            if j < extra:
+                h += pow(a + step * size * n, e, mod)
+            part += (regulator * (rinv * a // q) - slope * a + half) * h
+        acc += part % mod * weight
     return acc % mod
 
 
@@ -388,15 +366,17 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
         exponent = (-x).residue(digits - _q_digits(p))
-    # the floor sums cost about (e+2)^2 bit_length(p^level) per
-    # progression, the loop one term per unit; _progressions makes 2
-    # when every weight is 1, else one per unit class
+    # work in Horner steps, fitted to timings of both kernels for p <= 13,
+    # e <= 24 near their crossover: the class sums take e + 1 a
+    # sub-progression, (e + 1)^2 for the power sums and 40 to set up, the
+    # loop 3.5 a unit and 5 a unit class
     units = p**level - p**(level - 1)
     order = _torsion_order(p)
     count = 2 if (kappa0 - 1 - exponent) % order == 0 else order
-    bits = (p**level).bit_length()
-    if 0 <= exponent < units and count * (exponent + 2)**2 * bits < units:
-        acc = _floor_unit_sum(p, kappa0, exponent, r, level, digits)
+    subs = count * min(abs(r), units // count)
+    work = (subs + exponent + 1) * (exponent + 1) + 40
+    if 0 <= exponent < units and 2 * work < 7 * units + 10 * order:
+        acc = _class_unit_sum(p, kappa0, exponent, r, level, digits)
     else:
         acc = _unit_sum(p, kappa0, exponent, r, level, digits)
     integral = PadicNumber._make(p, 0, acc, digits)

@@ -15,11 +15,12 @@ from padicosc.padics import (
     unit_power,
     vp,
 )
+from padicosc import zeta
 from padicosc.galois import Branch
 from padicosc.zeta import (
     MazurMeasure,
     ZetaBranchEval,
-    _floor_unit_sum,
+    _class_unit_sum,
     _unit_sum,
     bernoulli,
     default_regulator,
@@ -113,6 +114,31 @@ def test_measure_worked_example():
     # p=5, r=2, a=3, N=1: R = 3, slope = (2*3 - 1)/5 = 1, so
     # 2 floor(9/5) - 3 + (2 - 1)/2 = -1/2 = B1(3/5) - 2 B1(4/5)
     assert measure_value(3, 1, 2, 5, 10).agrees_with(frac(-1, 2, 5, 10))
+
+
+def test_measure_is_constant_on_classes_mod_r():
+    # for 0 < a < q, E_{1,r}(a) = (r - 1)/2 + m with m = a q^-1 mod |r|
+    # taken in [1 - r, 0] (r > 0) or [1, |r|] (r < 0): the identity the
+    # class sums rest on, pinned through the public measure
+    for p in (2, 3, 5, 7):
+        for r in (-3, -2, 2, 3, 4, 5, 10, 29, 101):
+            if r % p == 0:
+                continue
+            size = abs(r)
+            for level in range(1, 5):
+                q = p**level
+                by_class = {}
+                for a in range(1, q):
+                    got = measure_value(a, level, r, p, 30)
+                    first = by_class.setdefault(a % size, got)
+                    assert got == first, (p, r, level, a)
+                    m = a * pow(q, -1, size) % size
+                    if r > 0:
+                        m = m - size if m else 0
+                    else:
+                        m = m or size
+                    assert 1 - r <= m <= 0 if r > 0 else 1 <= m <= size
+                    assert got == frac(2 * m + r - 1, 2, p, 30), (p, r, level, a)
 
 
 def test_measure_rejects_bad_input():
@@ -372,6 +398,7 @@ def _kernel_cases(p):
             yield (1 + e) % order, e, r, level, digits
             yield (2 + e + i % (order - 1)) % order, e, r, level, digits
             i += 1
+    yield from _wide_kernel_cases(p)
 
 
 @pytest.mark.parametrize("p", sorted(KERNEL_REGULATORS))
@@ -380,7 +407,78 @@ def test_floor_sum_kernel_matches_residue_loop(p):
     # too, so neither kernel is reachable alone through the public API
     for kappa0, e, r, level, digits in _kernel_cases(p):
         args = (p, kappa0, e, r, level, digits)
-        assert _floor_unit_sum(*args) == _unit_sum(*args), args
+        assert _class_unit_sum(*args) == _unit_sum(*args), args
+
+
+def _wide_kernel_cases(p):
+    """Negative regulators, |r| > q at levels 1-2, e up to 24, one digit,
+    and e = 0 at level 1, where the class of 0 mod |r| is the exception."""
+    order = 2 if p == 2 else p - 1
+    for r in (-2, -3, 29, 101):
+        if r % p == 0:
+            continue
+        for level in ((1, 2, 3) if r < 0 else (1, 2)):
+            for digits in (1, 9, 33):
+                for e in (0, 1, 7, 13, 24):
+                    yield (1 + e) % order, e, r, level, digits
+                    yield (2 + e) % order, e, r, level, digits
+
+
+@pytest.mark.parametrize("p,level,s", [(7, 24, -2), (2, 65, -2)])
+def test_zeta_measure_high_levels(p, level, s):
+    # a unit class holds more than 2**63 - 1 units here, past what
+    # len(range(...)) can count; consecutive levels must still agree
+    branch = Branch(p, 2 if p == 7 else 0)
+    low = zeta_measure(s, branch, level=level, precision=20)
+    high = zeta_measure(s, branch, level=level + 1, precision=20)
+    d = low.value - high.value
+    bound = min(low.error_bound_exponent, high.error_bound_exponent)
+    assert d.is_zero or d.valuation >= bound, (d, bound)
+
+
+# the top level per prime of the benchmark's integer-s sweep, precision 20
+SWEEP_TOP = {2: 15, 3: 9, 5: 6, 7: 5, 11: 4, 13: 4}
+
+
+def test_zeta_measure_kernel_routing(monkeypatch):
+    calls = []
+
+    def spy(name):
+        kernel = getattr(zeta, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(zeta, name, wrapped)
+
+    spy("_class_unit_sum")
+    spy("_unit_sum")
+    for p, level in SWEEP_TOP.items():
+        order = 2 if p == 2 else p - 1
+        for kappa0 in range(0, max(p - 2, 0) + 1, 2):
+            for k in range(1, 13):
+                if (k - kappa0) % order:
+                    continue
+                calls.clear()
+                zeta_measure(1 - k, Branch(p, kappa0), level=level,
+                             precision=20)
+                assert calls == ["_class_unit_sum"], (p, kappa0, k)
+    # a negative exponent (s = 2) and a p-adic one take the loop
+    for s in (2, PadicNumber.from_rational(1, 3, 5, 20)):
+        calls.clear()
+        zeta_measure(s, Branch(5, 2), level=3, precision=10)
+        assert calls == ["_unit_sum"], s
+
+
+def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
+    # the measure path must stay an independent oracle for zeta_interp
+    def refuse(k):
+        raise AssertionError("bernoulli(%d) on the measure path" % k)
+
+    size = len(zeta._BERNOULLI)
+    monkeypatch.setattr(zeta, "bernoulli", refuse)
+    zeta_measure(1 - 40, Branch(5, 0), level=6, precision=12)
+    assert len(zeta._BERNOULLI) == size
 
 
 # criterion 06's branches with their matched k, plus p = 2
