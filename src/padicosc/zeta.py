@@ -10,9 +10,9 @@ Fields, Ch. 12), then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
 The unit sum runs over plain integers mod p^digits.  Its two kernels give
 the same residue.  Class sums serve an exponent e = -s that is a small
-integer >= 0: E_{1,r} is constant on each class mod r, so each class of
-units is a progression whose e-th power sum has a closed form, about
-(e+1) r work per unit class.  The residue loop, one term per unit, serves
+integer >= 0: E_{1,r} is constant on each class mod |r|, so the units
+split into progressions whose e-th power sums have a closed form, about
+(e+1) |r| work per unit class.  The residue loop, one term per unit, serves
 the rest (s > 0, generic p-adic s, low N).
 """
 
@@ -293,7 +293,8 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
                  pow(w, (kappa0 - 1 - e) % order, mod)) for c, w in classes]
     acc, sums = 0, {}
     for start, step, count, weight in runs:
-        # count = n |r| + extra: the first `extra` classes run one term longer
+        # count = n |r| + extra: the first `extra` sub-progressions hold
+        # n + 1 terms, the others n
         n, extra = divmod(count, size)
         if (n, step) not in sums:
             sums[n, step] = scaled_sums(n, step)
@@ -367,9 +368,9 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
         # mod p^digits, so -s is needed only modulo that order
         exponent = (-x).residue(digits - _q_digits(p))
     # work in Horner steps, fitted to timings of both kernels for p <= 13,
-    # e <= 24 near their crossover: the class sums take e + 1 a
-    # sub-progression, (e + 1)^2 for the power sums and 40 to set up, the
-    # loop 3.5 a unit and 5 a unit class
+    # e <= 24 near their crossover: the class sums take e + 1 per
+    # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
+    # loop takes 3.5 per unit and 5 per unit class
     units = p**level - p**(level - 1)
     order = _torsion_order(p)
     count = 2 if (kappa0 - 1 - exponent) % order == 0 else order

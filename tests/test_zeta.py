@@ -137,8 +137,8 @@ def test_measure_is_constant_on_classes_mod_r():
                         m = m - size if m else 0
                     else:
                         m = m or size
-                    assert 1 - r <= m <= 0 if r > 0 else 1 <= m <= size
-                    assert got == frac(2 * m + r - 1, 2, p, 30), (p, r, level, a)
+                    want = frac(2 * m + r - 1, 2, p, 30)
+                    assert got == want, (p, r, level, a)
 
 
 def test_measure_rejects_bad_input():
