@@ -265,25 +265,6 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     q, mod, order = p**level, p**digits, _torsion_order(p)
     rinv, slope, half = _disc_constants(regulator, q, mod)
     e, size = exponent, abs(regulator)
-    stirling = [[1]]  # k! S(i, k) = k (k! S(i-1, k) + (k-1)! S(i-1, k-1))
-    for i in range(e):
-        row = stirling[-1] + [0]
-        stirling.append([0] + [k * (row[k] + row[k - 1])
-                               for k in range(1, i + 2)])
-    comb_e = [math.comb(e, i) for i in range(e + 1)]
-
-    def scaled_sums(n, step):
-        # C(e, i) D^i F_i(n) mod p^digits, i = 0..e
-        binom, c = [], n
-        for k in range(e + 1):
-            binom.append(c % mod)
-            c = c * (n - k - 1) // (k + 2)
-        out, d = [], 1
-        for row, ce in zip(stirling, comb_e):
-            out.append(sum(map(mul, row, binom)) * ce * d % mod)
-            d = d * step * size % mod
-        return out
-
     if (kappa0 - 1 - e) % order == 0:
         # every weight is 1: all 0 < a < q less the multiples of p
         runs = [(1, 1, q - 1, 1), (p, p, q // p - 1, mod - 1)]
@@ -291,13 +272,32 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
         stride, classes = _unit_classes(p, digits)
         runs = [(c, stride, (q - 1 - c) // stride + 1,
                  pow(w, (kappa0 - 1 - e) % order, mod)) for c, w in classes]
-    acc, sums = 0, {}
+    binoms = {}  # (n, step): C(n, k + 1) mod p^digits, k = 0..e
+    for _, step, count, _ in runs:
+        n = c = count // size
+        if (n, step) in binoms:
+            continue
+        binom = binoms[n, step] = []
+        for k in range(e + 1):
+            binom.append(c % mod)
+            c = c * (n - k - 1) // (k + 2)
+    # sums[n, step][i] = C(e, i) D^i F_i(n) mod p^digits, D = step |r|; the
+    # rows k! S(i, k) are reduced too and made one at a time, so the
+    # memory stays O(e)
+    sums = {key: [] for key in binoms}
+    row, ce = [1], 1  # k! S(i, k) mod p^digits, k = 0..i, and C(e, i)
+    for i in range(e + 1):
+        for (n, step), binom in binoms.items():
+            sums[n, step].append(sum(map(mul, row, binom)) * ce
+                                 * pow(step * size, i, mod) % mod)
+        row.append(0)  # k! S(i+1, k) = k (k! S(i, k) + (k-1)! S(i, k-1))
+        row = [0] + [k * (row[k] + row[k - 1]) % mod for k in range(1, i + 2)]
+        ce = ce * (e - i) // (i + 1)
+    acc = 0
     for start, step, count, weight in runs:
         # count = n |r| + extra: the first `extra` sub-progressions hold
         # n + 1 terms, the others n
         n, extra = divmod(count, size)
-        if (n, step) not in sums:
-            sums[n, step] = scaled_sums(n, step)
         part = 0
         for j in range(min(size, count)):
             a = start + step * j
@@ -370,7 +370,9 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
     # work in Horner steps, fitted to timings of both kernels for p <= 13,
     # e <= 24 near their crossover: the class sums take e + 1 per
     # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
-    # loop takes 3.5 per unit and 5 per unit class
+    # loop takes 3.5 per unit and 5 per unit class; past e = 24 each loop
+    # term costs more (its pow grows with log e), so the rule leans to the
+    # loop there
     units = p**level - p**(level - 1)
     order = _torsion_order(p)
     count = 2 if (kappa0 - 1 - exponent) % order == 0 else order

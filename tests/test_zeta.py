@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 from fractions import Fraction
 
@@ -468,6 +469,27 @@ def test_zeta_measure_kernel_routing(monkeypatch):
         calls.clear()
         zeta_measure(s, Branch(5, 2), level=3, precision=10)
         assert calls == ["_unit_sum"], s
+
+
+def test_class_sums_at_a_large_exponent(monkeypatch):
+    # e = 300 at p = 7, level 6 takes the class sums; their k! S(i, k) rows
+    # are reduced mod p^digits and made one at a time, so the peak stays
+    # O(e) small integers (kept whole and unreduced, about 9 MB here)
+    args = (7, 2, 300, 3, 6, 26)
+    tracemalloc.start()
+    try:
+        got = _class_unit_sum(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert got == _unit_sum(*args)
+
+    def refuse(*args):
+        raise AssertionError("the loop took e = 300")
+
+    monkeypatch.setattr(zeta, "_unit_sum", refuse)
+    zeta_measure(-300, Branch(7, 2), level=6, precision=20)
 
 
 def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
