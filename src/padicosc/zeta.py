@@ -14,6 +14,11 @@ integer >= 0: E_{1,r} is constant on each class mod |r|, so the units
 split into progressions whose e-th power sums have a closed form, about
 (e+1) |r| work per unit class.  The residue loop, one term per unit, serves
 the rest (s > 0, generic p-adic s, low N).
+
+zeta_measure plans, then runs.  The plan fixes in plain integers, before
+any sum: the prefactor mod p^N (w(r), <r> = r w(r)^(phi(q)-1), <r>^(1-s)
+and w(r)^kappa0, each one modular pow), the working digits and the error
+bound its valuation sets, the exponent, and the kernel with its work.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ from .padics import (
     _teichmuller_residue,
     _torsion_order,
     is_primitive_root,
-    teichmuller,
-    unit_power,
+    vp,
 )
 from .galois import Branch
 
@@ -124,14 +128,10 @@ class MazurMeasure(_Frozen):
             raise DomainError("measures do not match")
         if finer.level != self.level + 1:
             raise DomainError("refinement must be one level finer")
-        q = self.prime**self.level
-        for a, coarse in enumerate(self.values):
-            parts = PadicNumber.zero(self.prime)
-            for j in range(self.prime):
-                parts = parts + finer.values[a + j * q]
-            if not (parts - coarse).is_zero:
-                return False
-        return True
+        q, zero = self.prime**self.level, PadicNumber.zero(self.prime)
+        # the children of the disc a + qZ_p are a + jq, j < p
+        return all((sum(finer.values[a::q], zero) - coarse).is_zero
+                   for a, coarse in enumerate(self.values))
 
 
 def total_mass(regulator: int, p: int,
@@ -151,13 +151,8 @@ def integrate_units(g: Callable[[int], PadicNumber], level: int,
     caller who knows that exponent e caps the result with truncated_to(e).
     """
     _validate_regulator(regulator, p)
-    q = p**level
-    total = PadicNumber.zero(p)
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        total = total + g(a) * measure_value(a, level, regulator, p, precision)
-    return total
+    return sum((g(a) * measure_value(a, level, regulator, p, precision)
+                for a in range(1, p**level) if a % p), PadicNumber.zero(p))
 
 
 # -- regulators ---------------------------------------------------------
@@ -213,9 +208,24 @@ def zeta_interp(k: int, branch: Branch,
 
 def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
                            digits: int) -> PadicNumber:
-    x = PadicNumber.from_int(regulator, p, digits)
-    w = teichmuller(x)
-    return unit_power(x / w, 1 - s, digits) * w**kappa0 - 1
+    """<r>^(1-s) w(r)^kappa0 - 1 mod p^digits by modular pows; a p-adic s
+    is read mod p^(digits - v(<r> - 1)), as unit_power reads it."""
+    mod = p**digits
+    w = _teichmuller_residue(p, regulator % p**_q_digits(p), digits)
+    angle = regulator * pow(w, _torsion_order(p) - 1, mod) % mod
+    exponent = 1 - s
+    if isinstance(s, PadicNumber) and angle == 1:
+        exponent = 0  # <r> = 1 mod p^digits, so is every power of it
+    elif isinstance(s, PadicNumber):
+        need = max(digits - vp(angle - 1, p), 1)
+        if exponent.abs_precision < need:
+            raise PrecisionExhaustedError(
+                "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod %d**%d, "
+                "but s is known mod %d**%d"
+                % (p, need, p, exponent.abs_precision))
+        exponent = exponent.residue(need)
+    return PadicNumber._make(
+        p, 0, pow(angle, exponent, mod) * pow(w, kappa0, mod) - 1, digits)
 
 
 def _unit_classes(p: int, digits: int):
@@ -234,8 +244,7 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     negative or large exponent and at low levels, and it is the test
     oracle of _class_unit_sum.
     """
-    q = p**level
-    mod = p**digits
+    q, mod = p**level, p**digits
     rinv, slope, half = _disc_constants(regulator, q, mod)
     stride, classes = _unit_classes(p, digits)
     order = _torsion_order(p)
@@ -244,9 +253,17 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     for c, w in classes:
         winv = pow(w, order - 1, mod)  # w^-1: w^order = 1
         part = 0
-        for a in range(c, q, stride):
-            mu = regulator * (rinv * a // q) - slope * a + half
-            part += pow(a * winv % mod, exponent, mod) * mu
+        if exponent < 0:
+            den = 1  # sum mu / x as part/den: one inverse per class
+            for a in range(c, q, stride):
+                mu = regulator * (rinv * a // q) - slope * a + half
+                x = pow(a * winv % mod, -exponent, mod)
+                part, den = (part * x + mu * den) % mod, den * x % mod
+            part *= pow(den, -1, mod)
+        else:
+            for a in range(c, q, stride):
+                mu = regulator * (rinv * a // q) - slope * a + half
+                part += pow(a * winv % mod, exponent, mod) * mu
         acc += part % mod * pow(w, e_om, mod)
     return acc % mod
 
@@ -311,18 +328,14 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-def zeta_measure(s, branch: Branch, regulator: int | None = None,
-                 level: int = 5,
-                 precision: int | None = None) -> ZetaBranchEval:
-    """Riemann-sum evaluation of the branch zeta function at s in Z_p.
-
-    The prefactor denominator <r>^(1-s) w(r)^kappa0 - 1 fixes the
-    working precision: its valuation is measured first and added to the
-    digit budget (with guard digits) before the sum runs.  The reported
-    error bound is level minus that valuation.
-    """
-    p = branch.prime
-    kappa0 = branch.kappa0
+def _plan(s, branch: Branch, regulator: int | None, level: int,
+          precision: int | None) -> tuple:
+    """Validate, then fix in plain ints before any sum: (regulator, exponent,
+    digits, v_den, den_unit, den_digits, error_bound_exponent, class_sums,
+    work).  The prefactor is den_unit p^v_den mod p^den_digits; v_den, read
+    at a probe of n_req + 10 digits, adds to the digits of the sum and cuts
+    the bound to level - v_den; work is the kernel's cost in Horner steps."""
+    p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
     r = default_regulator(p) if regulator is None else regulator
     _validate_regulator(r, p)
@@ -358,6 +371,7 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
             "raise the precision budget" % (den.known_to,))
     v_den = den.valuation
     digits = n_req + v_den + 4
+    den_digits = max(digits, probe)
     if digits > probe:
         den = _prefactor_denominator(x, kappa0, r, p, digits)
 
@@ -367,22 +381,36 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
         exponent = (-x).residue(digits - _q_digits(p))
-    # work in Horner steps, fitted to timings of both kernels for p <= 13,
-    # e <= 24 near their crossover: the class sums take e + 1 per
+    # work in Horner steps, fitted to timings of both kernels (p <= 13,
+    # e <= 24) near their crossover: the class sums take e + 1 per
     # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
-    # loop takes 3.5 per unit and 5 per unit class; past e = 24 each loop
-    # term costs more (its pow grows with log e), so the rule leans to the
-    # loop there
+    # loop 3.5 per unit and 5 per class, more past e = 24 (pow grows)
     units = p**level - p**(level - 1)
     order = _torsion_order(p)
     count = 2 if (kappa0 - 1 - exponent) % order == 0 else order
     subs = count * min(abs(r), units // count)
     work = (subs + exponent + 1) * (exponent + 1) + 40
-    if 0 <= exponent < units and 2 * work < 7 * units + 10 * order:
-        acc = _class_unit_sum(p, kappa0, exponent, r, level, digits)
-    else:
-        acc = _unit_sum(p, kappa0, exponent, r, level, digits)
-    integral = PadicNumber._make(p, 0, acc, digits)
+    loop = 7 * units + 10 * order  # twice the loop's work
+    class_sums = 0 <= exponent < units and 2 * work < loop
+    return (r, exponent, digits, v_den, den.unit, den_digits, level - v_den,
+            class_sums, work if class_sums else loop // 2)
+
+
+def zeta_measure(s, branch: Branch, regulator: int | None = None,
+                 level: int = 5,
+                 precision: int | None = None) -> ZetaBranchEval:
+    """Riemann-sum evaluation of the branch zeta function at s in Z_p.
+
+    The run step of _plan: one kernel call, one _make and one division.
+    The error bound is level minus the prefactor's valuation.
+    """
+    p, kappa0 = branch.prime, branch.kappa0
+    (r, exponent, digits, v_den, den_unit, den_digits, bound, class_sums,
+     _) = _plan(s, branch, regulator, level, precision)
+    kernel = _class_unit_sum if class_sums else _unit_sum
+    integral = PadicNumber._make(
+        p, 0, kernel(p, kappa0, exponent, r, level, digits), digits)
+    den = PadicNumber(p, v_den, den_unit, den_digits - v_den)
     return ZetaBranchEval(prime=p, kappa0=kappa0, s=s, regulator=r,
                           level=level, value=integral / den,
-                          error_bound_exponent=level - v_den, path="measure")
+                          error_bound_exponent=bound, path="measure")

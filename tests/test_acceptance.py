@@ -174,7 +174,7 @@ def test_criterion_06_measure_and_interpolation_paths_agree():
                                          and e >= previous + 1), (p, kappa0, k, level)
                 previous = e
             assert previous is None or previous >= TOP_LEVEL - 2, (p, kappa0, k)
-    assert time.monotonic() - start < 120.0
+    assert time.monotonic() - start < 2.0
 
 
 def test_criterion_06_paths_agree_to_all_working_digits():

@@ -367,6 +367,56 @@ def test_zeta_measure_denominator_consumes_budget():
         zeta_measure(1 - k, Branch(3, 0), level=3, precision=4)
 
 
+def _padic_prefactor(s, kappa0, r, p, digits):
+    """<r>^(1-s) w(r)^kappa0 - 1 in PadicNumber arithmetic: the oracle of
+    the integer prefactor."""
+    x = PadicNumber.from_int(r, p, digits)
+    w = teichmuller(x)
+    return unit_power(x / w, 1 - s, digits) * w**kappa0 - 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is what both sides must share
+        return type(exc)
+
+
+def test_integer_prefactor_matches_padic_formula():
+    rng = random.Random(2017)
+    raised = 0
+    for _ in range(2500):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        r = rng.choice([r for r in range(-40, 41) if r % p])
+        kappa0 = rng.randrange(2 if p == 2 else p - 1)
+        digits = rng.randrange(2, 40)
+        kind = rng.randrange(3)
+        if kind == 0:
+            s = rng.randrange(-60, 61)
+        elif kind == 1:
+            # up to 44 digits at valuation 0-2; short ones often run out
+            n, v = rng.randrange(1, 45), rng.randrange(3)
+            s = PadicNumber._make(p, v, rng.randrange(1, p**n), n)
+        else:
+            s = PadicNumber.zero(p, known_to=rng.randrange(0, 45))
+        args = (s, kappa0, r, p, digits)
+        got = _outcome(zeta._prefactor_denominator, *args)
+        assert got == _outcome(_padic_prefactor, *args), args
+        raised += isinstance(got, type)
+    assert 0 < raised < 2000, raised
+
+
+def test_prefactor_precision_error_names_s():
+    # the prefactor reads s mod 5**(20 - v(<2> - 1)) at the probe of
+    # precision + 10 digits, and this s has 10
+    s = PadicNumber.from_int(-1, 5, 10)
+    with pytest.raises(PrecisionExhaustedError) as info:
+        zeta_measure(s, Branch(5, 2), level=3, precision=10)
+    assert str(info.value) == (
+        "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod 5**19, "
+        "but s is known mod 5**10")
+
+
 @pytest.mark.parametrize("p,kappa0,k,level", [
     (5, 2, 2, 3), (2, 0, 2, 5), (7, 4, 4, 3), (5, 0, 1, 3), (2, 0, 1, 4)])
 def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
@@ -469,6 +519,56 @@ def test_zeta_measure_kernel_routing(monkeypatch):
         calls.clear()
         zeta_measure(s, Branch(5, 2), level=3, precision=10)
         assert calls == ["_unit_sum"], s
+
+
+def test_plan_runs_no_kernel(monkeypatch):
+    # --p 7 --kappa0 2 --level 30 zeta-measure -- -1: s = 2 would take the
+    # loop over 7^30 residues, yet the plan is made without any sum
+    def refuse(*args):
+        raise AssertionError("a kernel ran in the plan")
+
+    monkeypatch.setattr(zeta, "_class_unit_sum", refuse)
+    monkeypatch.setattr(zeta, "_unit_sum", refuse)
+    (r, exponent, digits, v_den, den_unit, den_digits, bound, class_sums,
+     work) = zeta._plan(2, Branch(7, 2), None, 30, 32)
+    assert (r, exponent, class_sums) == (3, -2, False)
+    assert digits == 32 + v_den + 4 and bound == 30 - v_den
+    assert den_unit % 7 and den_digits >= digits
+    assert work > 7**29
+
+
+def _per_unit_pow_sum(p, kappa0, exponent, r, level, digits):
+    """The unit sum with one pow, and so one inverse, per unit, and the
+    measure from measure_value: the oracle of the batched inverses."""
+    mod = p**digits
+    order = 2 if p == 2 else p - 1
+    total = 0
+    for a in range(1, p**level):
+        if a % p == 0:
+            continue
+        x = PadicNumber.from_int(a, p, digits + 2)
+        w = teichmuller(x).residue(digits)
+        angle = a * pow(w, -1, mod) % mod
+        mu = measure_value(a, level, r, p, digits).residue(digits)
+        total += pow(angle, exponent, mod) * pow(w, (kappa0 - 1) % order,
+                                                 mod) * mu
+    return total % mod
+
+
+@pytest.mark.parametrize("p,regulators", [
+    (2, (3, -3, 5, -7)), (3, (4, -4, 5, -7)), (7, (3, -3, 4, -5))])
+def test_negative_exponent_loop_matches_per_unit_pow(p, regulators):
+    order = 2 if p == 2 else p - 1
+    levels = (2, 3, 5) if p == 2 else (1, 2, 3)
+    for r in regulators:
+        for level in levels:
+            for digits in (1, 6, 24):
+                for e in (-1, -2, -5, -(p**12 + 3)):
+                    # the weight w^(kappa0 - 1 - e) matched and unmatched
+                    for kappa0 in {(1 + e) % order, (2 + e) % order}:
+                        args = (p, kappa0, e, r, level, digits)
+                        got = _unit_sum(*args)
+                        assert got == _per_unit_pow_sum(*args), args
 
 
 def test_class_sums_at_a_large_exponent(monkeypatch):
