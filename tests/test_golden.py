@@ -24,10 +24,13 @@ from padicosc.zeta import zeta_measure
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SERIES_FILE = os.path.join(GOLDEN, "series_tail.txt")
+SAMPLES_FILE = os.path.join(GOLDEN, "samples.txt")
 CLI_GOLDEN = os.path.join(GOLDEN, "cli_stdout.json")
 ZETA_GOLDEN = os.path.join(GOLDEN, "zeta_padic_s.json")
 
-# "{series}" stands for the fixed series file (p = 5, M = 5, tail 9)
+# "{series}" stands for the fixed series file (p = 5, M = 5, tail 9),
+# "{samples}" for the fixed samples file (p = 5, M = 8, valuations -2..2
+# and one exact zero)
 COMMANDS = (
     "--p 2 --precision 32 zeta-interp 2",
     "--p 5 --m 64 commutator-check --trials 50 --seed 7",
@@ -41,6 +44,8 @@ COMMANDS = (
     "--m 6 kernel raising",
     "--m 6 kernel lowering",
     "--m 6 kernel hamiltonian",
+    "mahler-expand {samples}",
+    "vdp-expand {samples}",
 )
 CLI_CASES = tuple("--output %s %s" % (out, cmd)
                   for cmd in COMMANDS for out in ("json", "text"))
@@ -61,7 +66,8 @@ def _zeta_key(case):
 
 
 def cli_stdout(case: str) -> str:
-    argv = case.replace("{series}", SERIES_FILE).split()
+    argv = (case.replace("{series}", SERIES_FILE)
+            .replace("{samples}", SAMPLES_FILE).split())
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
