@@ -380,7 +380,12 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     else:
         # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
         # mod p^digits, so -s is needed only modulo that order
-        exponent = (-x).residue(digits - _q_digits(p))
+        need = digits - _q_digits(p)
+        if x.abs_precision < need:
+            raise PrecisionExhaustedError(
+                "the exponent of <a>^(-s) needs s mod %d**%d, "
+                "but s is known mod %d**%d" % (p, need, p, x.abs_precision))
+        exponent = (-x).residue(need)
     # work in Horner steps, fitted to timings of both kernels (p <= 13,
     # e <= 24) near their crossover: the class sums take e + 1 per
     # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the

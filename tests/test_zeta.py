@@ -417,6 +417,18 @@ def test_prefactor_precision_error_names_s():
         "but s is known mod 5**10")
 
 
+def test_exponent_precision_error_names_s():
+    # <33> = 1 mod 2**5, so the prefactor reads few digits of s, but its
+    # valuation 6 lengthens the sum to 13 digits and the exponent -s is
+    # needed mod 2**11
+    s = PadicNumber._make(2, 0, 419, 9)
+    with pytest.raises(PrecisionExhaustedError) as info:
+        zeta_measure(s, Branch(2, 0), regulator=33, level=3, precision=3)
+    assert str(info.value) == (
+        "the exponent of <a>^(-s) needs s mod 2**11, "
+        "but s is known mod 2**9")
+
+
 @pytest.mark.parametrize("p,kappa0,k,level", [
     (5, 2, 2, 3), (2, 0, 2, 5), (7, 4, 4, 3), (5, 0, 1, 3), (2, 0, 1, 4)])
 def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
