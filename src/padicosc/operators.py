@@ -155,24 +155,9 @@ def as_matrix(op: str, dimension: int, p: int,
     return OperatorMatrix.from_dict(p, dimension, entries, precision)
 
 
-def identity_matrix(p: int, dimension: int, precision: int) -> OperatorMatrix:
-    entries = {(n, n): PadicNumber.from_int(1, p, precision)
-               for n in range(dimension)}
-    return OperatorMatrix.from_dict(p, dimension, entries, precision)
-
-
 def _check_compatible(a: OperatorMatrix, b: OperatorMatrix) -> None:
     if a.prime != b.prime or a.dimension != b.dimension:
         raise DomainError("matrix shape or prime mismatch")
-
-
-def mat_add(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    _check_compatible(a, b)
-    out = dict(a.to_dict())
-    for pos, v in b.to_dict().items():
-        out[pos] = out[pos] + v if pos in out else v
-    return OperatorMatrix.from_dict(a.prime, a.dimension, out,
-                                    min(a.precision, b.precision))
 
 
 def mat_scale(scalar, a: OperatorMatrix) -> OperatorMatrix:

@@ -11,7 +11,6 @@ from padicosc.series import mahler_eval
 from padicosc.operators import (
     apply_lowering,
     as_matrix,
-    mat_add,
     matrices_agree,
     OperatorMatrix,
 )
@@ -26,6 +25,7 @@ from padicosc.galois import (
     smallest_primitive_root,
     t_of,
 )
+from matrix_helpers import mat_add
 
 
 def random_unit(rng, p, precision=16):

@@ -17,12 +17,11 @@ from padicosc.operators import (
     as_matrix,
     commutator_defect,
     hamiltonian,
-    identity_matrix,
     kernel_solve,
-    mat_add,
     mat_scale,
     OPERATOR_NAMES,
 )
+from matrix_helpers import identity_matrix, mat_add
 from test_series import edge_padic, min_exponent, oracle_add, oracle_times
 
 
