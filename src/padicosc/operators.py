@@ -10,9 +10,10 @@ marker at the tail exponent.  The commutation identity [a-, a+] = 1
 therefore holds on indices 0..M-2 by contract, with index M-1 a
 truncation artifact.
 
-The rule acts on integer rows (valuation, unit, absprec), None for the
-exact zero, canonicalized once per output coefficient; commutator_defect
-composes rules on rows and sums each index's rows with one _sum.
+The rule maps the series' canonical rows (see series) to canonical
+rows, so apply_* and commutator_defect build no PadicNumber until a
+caller reads the coefficients; commutator_defect composes rules on rows
+and sums each index's rows with one _row_sum.
 
 The matrix form (as_matrix) is the rule restricted to the window, for
 kernel_solve, the cyclic orbit and serialization.  It has no tail, so
@@ -23,8 +24,8 @@ window cannot see.
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionExhaustedError
-from .padics import PadicNumber, _Frozen, _split
-from .series import MahlerSeries, _min_exponent
+from .padics import PadicNumber, _Frozen, _row_sum, _split
+from .series import MahlerSeries, _min_exponent, _negated
 
 # operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
 RULES = {
@@ -35,17 +36,11 @@ RULES = {
 OPERATOR_NAMES = tuple(RULES)
 
 
-def _rows(f: MahlerSeries) -> list:
-    """f's coefficients as rows, None for the exact zero; the marker
-    O(p^k) is (k, 0, k)."""
-    return [None if c.is_exact_zero else (c.valuation, c.unit, c.abs_precision)
-            for c in f.coefficients]
-
-
-def _rule_rows(op: str, p: int, rows: list, tail):
+def _rule_rows(op: str, p: int, rows, tail):
     """The named operator's rule on rows and tail bound.  A weight
-    u p**k sends (v, c, N) to (v + k, c u, N + k); a row pushed past
-    index M-1 enters the tail bound at its valuation."""
+    u p**k sends (v, c, N) to (v + k, c u mod p**(N - v), N + k), still
+    canonical; a row pushed past index M-1 enters the tail bound at its
+    valuation."""
     shift, weight = RULES[op]
     m = len(rows)
     out = [None] * m
@@ -59,7 +54,7 @@ def _rule_rows(op: str, p: int, rows: list, tail):
             row = None
         elif w != 1:
             k, u = _split(w, p)
-            row = (row[0] + k, row[1] * u, row[2] + k)
+            row = (row[0] + k, row[1] * u % p ** (row[2] - row[0]), row[2] + k)
         i = n + shift
         if 0 <= i < m:
             out[i] = row
@@ -69,19 +64,9 @@ def _rule_rows(op: str, p: int, rows: list, tail):
 
 
 def _apply_rule(op: str, f: MahlerSeries) -> MahlerSeries:
-    """The series form of the named operator's rule, canonicalized once
-    per coefficient."""
-    p, rows = f.prime, _rows(f)
-    out, tail = _rule_rows(op, p, rows, f.tail_bound_exponent)
-    # a row equal to one of f's is that coefficient; any other is a
-    # marker or a unit times unit(w), prime to p, so it only needs reducing
-    held = {None: PadicNumber.zero(p), **dict(zip(rows, f.coefficients))}
-    coeffs = tuple(
-        held[r] if r in held
-        else PadicNumber.zero(p, known_to=r[0]) if not r[1]
-        else PadicNumber(p, r[0], r[1] % p**(r[2] - r[0]), r[2] - r[0])
-        for r in out)
-    return MahlerSeries(prime=p, coefficients=coeffs, tail_bound_exponent=tail)
+    """The series form of the named operator's rule."""
+    return MahlerSeries._from_rows(
+        f.prime, *_rule_rows(op, f.prime, f._rows, f.tail_bound_exponent))
 
 
 def apply_raising(f: MahlerSeries) -> MahlerSeries:
@@ -102,16 +87,16 @@ def hamiltonian(f: MahlerSeries) -> MahlerSeries:
 def commutator_defect(f: MahlerSeries) -> MahlerSeries:
     """(a- a+ - a+ a- - 1) f, which vanishes on indices below M-1.
     Both products compose RULES on rows; a+ a- acts on -f."""
-    p, rows, tail = f.prime, _rows(f), f.tail_bound_exponent
-    minus = [r and (r[0], -r[1], r[2]) for r in rows]
+    p, rows, tail = f.prime, f._rows, f.tail_bound_exponent
+    minus = [_negated(r) for r in rows]
     up_down, t1 = _rule_rows("lowering", p,
                              *_rule_rows("raising", p, rows, tail))
     down_up, t2 = _rule_rows("raising", p,
                              *_rule_rows("lowering", p, minus, tail))
-    coeffs = tuple(PadicNumber._sum(p, filter(None, terms))
-                   for terms in zip(up_down, down_up, minus))
-    return MahlerSeries(prime=p, coefficients=coeffs,
-                        tail_bound_exponent=_min_exponent(t1, t2, tail))
+    return MahlerSeries._from_rows(
+        p, [_row_sum(p, filter(None, terms))
+            for terms in zip(up_down, down_up, minus)],
+        _min_exponent(t1, t2, tail))
 
 
 # -- matrix form -------------------------------------------------------

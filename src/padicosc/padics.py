@@ -204,19 +204,16 @@ class PadicNumber(_Frozen):
 
     @classmethod
     def _sum(cls, p: int, terms) -> "PadicNumber":
-        """The sum of terms (v, u, N), each u * p**v known mod p**N: one
-        scaled integer, known mod p**min(N), or the exact zero if empty."""
-        total, vmin, absprec = 0, inf, inf
-        for v, u, n in terms:
-            if v < vmin:
-                total *= p ** (vmin - v) if total else 1
-                vmin = v
-            total += u * p ** (v - vmin)
-            if n < absprec:
-                absprec = n
-        if absprec == inf:
+        """The sum of terms (v, u, N), each u * p**v known mod p**N."""
+        return cls._from_row(p, _row_sum(p, terms))
+
+    @classmethod
+    def _from_row(cls, p: int, row) -> "PadicNumber":
+        """The value of a canonical row (see _row_sum)."""
+        if row is None:
             return cls.zero(p)
-        return cls._make(p, vmin, total, absprec - vmin)
+        v, u, n = row
+        return cls(p, v, u, n - v, None if u else v)
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -461,6 +458,29 @@ class PadicNumber(_Frozen):
 (_set_prime, _set_valuation, _set_unit, _set_precision,
  _set_known_to) = (PadicNumber.__dict__[name].__set__
                    for name in PadicNumber.__slots__)
+
+
+def _row_sum(p: int, terms):
+    """The sum of terms (v, u, N), each u * p**v known mod p**N, as the
+    row (valuation, unit, absprec) of _make(p, min v, total, min N - min v):
+    None for the exact zero (no terms), (k, 0, k) for the marker O(p^k)."""
+    total, vmin, absprec = 0, inf, inf
+    for v, u, n in terms:
+        if v < vmin:
+            total *= p ** (vmin - v) if total else 1
+            vmin = v
+        total += u * p ** (v - vmin)
+        if n < absprec:
+            absprec = n
+    if absprec == inf:
+        return None
+    if absprec > vmin:
+        total %= p ** (absprec - vmin)
+        if total:
+            shift, total = _split(total, p)
+            return vmin + shift, total, absprec
+    return absprec, 0, absprec
+
 
 # -- Teichmuller character and friends --------------------------------
 

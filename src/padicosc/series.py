@@ -4,17 +4,17 @@ A series object stores a truncated coefficient sequence plus an upper
 bound on the coefficients it does not store: tail_bound_exponent = e
 means sup over the dropped indices of |c_n|_p is at most p**(-e), and
 None means that tail is exactly zero (finitely supported element).
+Coefficients are held as the canonical rows (valuation, unit, absprec)
+of PadicNumber._make, None for the exact zero and (k, 0, k) for O(p^k),
+which the kernels here and in operators read and write; the tuple of
+PadicNumbers is built on first read of `coefficients` and kept.
 
-Evaluation returns the exact value of the truncated sum; the tail bound
-is bookkeeping for how far that sum can be trusted as a stand-in for an
-underlying infinite expansion, and it travels with the series objects
-rather than being folded into evaluated values.
-
-Evaluation sums (valuation, unit, absprec) parts as one integer and
-canonicalizes once.  The value at x is known modulo p**N, N the min
-over terms of absprec(c_n) + v(P_n(x)) and absprec(P_n(x)) + v(c_n);
-P_0 = 1 and P_n at an integer point are exact (no second bound), and
-exact-zero coefficients and values P_n(k) = 0 drop out.
+Evaluation returns the exact value of the truncated sum, as one integer
+canonicalized once, known modulo p**N, N the min over terms of
+absprec(c_n) + v(P_n(x)) and absprec(P_n(x)) + v(c_n); P_0 = 1 and P_n
+at an integer point are exact (no second bound), and exact-zero
+coefficients and values P_n(k) = 0 drop out.  The tail bound travels
+with the series, not with evaluated values.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
     PadicNumber,
     _Frozen,
+    _row_sum,
     _split,
     hensel_digits,
     n_minus,
@@ -42,43 +43,77 @@ def _min_exponent(*exponents: int | None) -> int | None:
     return min(known) if known else None
 
 
-class _SeriesBase(_Frozen):
-    __slots__ = ("prime", "coefficients", "tail_bound_exponent")
-    _defaults = {"tail_bound_exponent": None}
+def _row_of(c: PadicNumber):
+    return None if c.is_exact_zero else (c.valuation, c.unit, c.abs_precision)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not self.coefficients:
+
+def _negated(row):  # a term for _row_sum: the unit is not reduced
+    return row and (row[0], -row[1], row[2])
+
+
+class _SeriesBase(_Frozen):
+    __slots__ = ("prime", "_rows", "tail_bound_exponent", "_coefficients")
+
+    def __init_subclass__(cls):
+        # equality, hash, repr and pickling read the coefficients
+        cls._fields = cls.__match_args__ = (
+            "prime", "coefficients", "tail_bound_exponent")
+
+    def __init__(self, prime: int, coefficients, tail_bound_exponent: int | None = None):
+        coefficients = tuple(coefficients)
+        if not coefficients:
             raise DomainError("a series needs at least one coefficient")
-        for c in self.coefficients:
-            if c.prime != self.prime:
-                raise DomainError("coefficient prime mismatch")
+        if any(c.prime != prime for c in coefficients):
+            raise DomainError("coefficient prime mismatch")
+        self._fill(prime, tuple(map(_row_of, coefficients)),
+                   tail_bound_exponent, coefficients)
+
+    @classmethod
+    def _from_rows(cls, prime: int, rows, tail: int | None = None):
+        """The series of canonical rows; no coefficient is built."""
+        series = object.__new__(cls)
+        series._fill(prime, tuple(rows), tail, None)
+        return series
+
+    def _fill(self, *values):
+        for name, value in zip(_SeriesBase.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coefficients(self) -> tuple:
+        """Built on first read and kept; racing threads build equal tuples."""
+        if self._coefficients is None:
+            object.__setattr__(self, "_coefficients", tuple(
+                [PadicNumber._from_row(self.prime, r) for r in self._rows]))
+        return self._coefficients
 
     @property
     def truncation(self) -> int:
-        return len(self.coefficients)
+        return len(self._rows)
 
-    def _combine(self, other, subtract: bool):
+    def _combine(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         if self.prime != other.prime:
             raise DomainError("prime mismatch")
         if self.truncation != other.truncation:
             raise DomainError("truncation mismatch")
-        coeffs = tuple(a - b if subtract else a + b
-                       for a, b in zip(self.coefficients, other.coefficients))
+        p = self.prime
+        rows = [_row_sum(p, filter(None, (a, b if sign > 0 else _negated(b))))
+                for a, b in zip(self._rows, other._rows)]
         tail = _min_exponent(self.tail_bound_exponent, other.tail_bound_exponent)
-        return type(self)(self.prime, coeffs, tail)
+        return type(self)._from_rows(p, rows, tail)
 
     def __add__(self, other):
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return type(self)(self.prime, tuple(-c for c in self.coefficients),
-                          self.tail_bound_exponent)
+        p, rows = self.prime, self._rows
+        return type(self)._from_rows(p, [r and _row_sum(p, (_negated(r),)) for r in rows],
+                                     self.tail_bound_exponent)
 
 
 class MahlerSeries(_SeriesBase):
@@ -159,31 +194,52 @@ def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
     return PadicNumber._make(p, v, u, m - v)
 
 
-def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
-    """Value of the truncated sum at x (precision: module docstring)."""
-    p, coeffs = f.prime, f.coefficients
+def _mahler_terms(f: MahlerSeries, x: Point) -> list:
+    """The terms (v, u, N) of f's truncated sum at x."""
+    p, rows = f.prime, f._rows
     terms = []
     if isinstance(x, int):
         b = 1       # binomial(x, n): n b_n = b_(n-1) (x - n + 1), exactly
-        for n, c in enumerate(coeffs):
+        for n, r in enumerate(rows):
             b = b * (x - n + 1) // n if n else b
             if not b:
                 break   # 0 <= x < n, and so for every later n
-            if not c.is_exact_zero:
+            if r is not None:
                 v, u = _split(b, p)
-                vc = c.valuation
-                terms.append((vc + v, c.unit * u, vc + c.precision + v))
-        return PadicNumber._sum(p, terms)
-    top = max((n + 1 for n, c in enumerate(coeffs) if not c.is_exact_zero),
-              default=0)
+                terms.append((r[0] + v, r[1] * u, r[2] + v))
+        return terms
+    top = max((n + 1 for n, r in enumerate(rows) if r is not None), default=0)
     if top and x.prime != p:
         raise DomainError("prime mismatch: %d vs %d" % (p, x.prime))
-    for c, (v, u, m) in zip(coeffs[:top], _basis_values(x, top)):
-        if not c.is_exact_zero:
-            vc = c.valuation
-            n = vc + c.precision + v
-            terms.append((vc + v, c.unit * u, n if m is None else min(n, m + vc)))
-    return PadicNumber._sum(p, terms)
+    for r, (v, u, m) in zip(rows[:top], _basis_values(x, top)):
+        if r is not None:
+            n = r[2] + v
+            terms.append((r[0] + v, r[1] * u, n if m is None else min(n, m + r[0])))
+    return terms
+
+
+def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
+    """Value of the truncated sum at x (precision: module docstring)."""
+    return PadicNumber._sum(f.prime, _mahler_terms(f, x))
+
+
+def _mahler_series(p: int, samples: list, truncation: int,
+                   tail: int | None = None) -> MahlerSeries:
+    """c_n = (Delta^n f)(0), n < truncation, from the rows of f(0), f(1),
+    ...; tail bound: the least of tail and the norms past the window."""
+    if truncation < 1 or len(samples) < truncation:
+        raise DomainError("need at least %d consecutive samples" % truncation)
+    # the difference table on integers scaled to p**vmin, each entry with
+    # the min absprec of the samples under it (inf: all exact zeros)
+    vmin = min((r[0] for r in samples if r is not None), default=0)
+    row = [(0, inf) if r is None else (r[1] * p ** (r[0] - vmin), r[2])
+           for r in samples]
+    rows = []
+    while row:
+        rows.append(_row_sum(p, ((vmin, *row[0]),)))
+        row = [(b - a, min(na, nb)) for (a, na), (b, nb) in zip(row, row[1:])]
+    tail = _min_exponent(tail, *(r[0] for r in rows[truncation:] if r))
+    return MahlerSeries._from_rows(p, rows[:truncation], tail)
 
 
 def mahler_expand(samples: Sequence[PadicNumber], truncation: int | None = None) -> MahlerSeries:
@@ -195,25 +251,9 @@ def mahler_expand(samples: Sequence[PadicNumber], truncation: int | None = None)
     all dropped indices).
     """
     samples = list(samples)
-    if truncation is None:
-        truncation = len(samples)
-    if truncation < 1 or len(samples) < truncation:
-        raise DomainError("need at least %d consecutive samples" % truncation)
-    p = samples[0].prime
-    # the difference table on integers scaled to p**vmin, each entry with
-    # the min absprec of the samples under it (inf: all exact zeros)
-    vmin = min((s.valuation for s in samples if not s.is_exact_zero), default=0)
-    row = [(0, inf) if s.is_exact_zero
-           else (s.unit * p ** (s.valuation - vmin), s.valuation + s.precision)
-           for s in samples]
-    diffs = [samples[0]]
-    while len(row) > 1:
-        row = [(b - a, min(na, nb)) for (a, na), (b, nb) in zip(row, row[1:])]
-        d, n = row[0]
-        diffs.append(PadicNumber._sum(p, [(vmin, d, n)]))
-    tail = _min_exponent(*(w.norm_bound_exponent() for w in diffs[truncation:]))
-    return MahlerSeries(prime=p, coefficients=tuple(diffs[:truncation]),
-                        tail_bound_exponent=tail)
+    return _mahler_series(samples[0].prime if samples else None,
+                          [_row_of(s) for s in samples],
+                          len(samples) if truncation is None else truncation)
 
 
 # -- van der Put basis -------------------------------------------------
@@ -249,11 +289,32 @@ def vdp_basis_eval(n: int, x: Point, p: int | None = None) -> int:
         % (n, p, s + 1, s + 1, max(known, 0)))
 
 
+def _vdp_terms(g: VanDerPutSeries, x: Point) -> list:
+    """The rows v_n with x in the disc of n.  At an integer x these are
+    n = 0 and n = x mod p**(s+1) for each nonzero digit s of x: p**s <= n
+    < p**(s+1) is what makes x = n mod p**(s+1) the disc of n."""
+    p, rows = g.prime, g._rows
+    if not isinstance(x, int):
+        return [r for n, r in enumerate(rows)
+                if r is not None and vdp_basis_eval(n, x, p)]
+    terms, low = [rows[0]], 1      # low = p**s
+    while low < len(rows):
+        n = x % (low * p)
+        if low <= n < len(rows):
+            terms.append(rows[n])
+        low *= p
+    return [r for r in terms if r is not None]
+
+
 def vdp_eval(g: VanDerPutSeries, x: Point) -> PadicNumber:
-    return PadicNumber._sum(g.prime, (
-        (v.valuation, v.unit, v.valuation + v.precision)
-        for n, v in enumerate(g.coefficients)
-        if not v.is_exact_zero and vdp_basis_eval(n, x, g.prime)))
+    return PadicNumber._sum(g.prime, _vdp_terms(g, x))
+
+
+def _vdp_series(p: int, samples: list, tail: int | None = None) -> VanDerPutSeries:
+    """v_0 = f(0) and v_n = f(n) - f(n_minus) from the rows of f(0), ..."""
+    return VanDerPutSeries._from_rows(p, samples[:1] + [
+        _row_sum(p, filter(None, (samples[n], _negated(samples[n_minus(n, p)]))))
+        for n in range(1, len(samples))], tail)
 
 
 def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:
@@ -261,11 +322,7 @@ def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:
     samples = list(samples)
     if not samples:
         raise DomainError("need at least one sample")
-    p = samples[0].prime
-    coeffs = [samples[0]]
-    for n in range(1, len(samples)):
-        coeffs.append(samples[n] - samples[n_minus(n, p)])
-    return VanDerPutSeries(prime=p, coefficients=tuple(coeffs))
+    return _vdp_series(samples[0].prime, [_row_of(s) for s in samples])
 
 
 # -- conversion and norm -----------------------------------------------
@@ -277,9 +334,8 @@ def sup_norm_exponent(f) -> int | None:
     None means the norm is exactly zero.  Exact for exact coefficients
     and zero tail; inexact zeros contribute their known vanishing bound.
     """
-    exps = [c.norm_bound_exponent() for c in f.coefficients]
-    exps.append(f.tail_bound_exponent)
-    return _min_exponent(*exps)
+    return _min_exponent(f.tail_bound_exponent,
+                         *(r[0] for r in f._rows if r is not None))
 
 
 def sup_norm(f) -> Fraction:
@@ -297,11 +353,9 @@ def convert(f: MahlerSeries) -> VanDerPutSeries:
     bound |v_n| <= sup norm of f, because a polynomial truncation is not
     locally constant and keeps a genuine van der Put tail.
     """
-    m = f.truncation
-    samples = [mahler_eval(f, k) for k in range(m)]
-    g = vdp_expand(samples)
-    tail = _min_exponent(f.tail_bound_exponent, sup_norm_exponent(f))
-    return VanDerPutSeries(g.prime, g.coefficients, tail)
+    p = f.prime
+    return _vdp_series(p, [_row_sum(p, _mahler_terms(f, k))
+                           for k in range(f.truncation)], sup_norm_exponent(f))
 
 
 def convert_back(g: VanDerPutSeries, truncation: int | None = None) -> MahlerSeries:
@@ -311,8 +365,7 @@ def convert_back(g: VanDerPutSeries, truncation: int | None = None) -> MahlerSer
     reproduces its coefficients exactly: the van der Put partial sums
     telescope to the exact sampled values at every integer below M.
     """
+    p = g.prime
     m = g.truncation if truncation is None else truncation
-    samples = [vdp_eval(g, k) for k in range(m)]
-    f = mahler_expand(samples, m)
-    tail = _min_exponent(g.tail_bound_exponent, sup_norm_exponent(g))
-    return MahlerSeries(f.prime, f.coefficients, tail)
+    return _mahler_series(p, [_row_sum(p, _vdp_terms(g, k)) for k in range(m)],
+                          m, sup_norm_exponent(g))

@@ -1,6 +1,7 @@
 """Mahler and van der Put bases: evaluation, expansion, conversion, norm."""
 
 import math
+import pickle
 import random
 
 from collections import Counter
@@ -9,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from padicosc.errors import DomainError, PrecisionExhaustedError
+from padicosc.operators import (RULES, _apply_rule, apply_raising,
+                                commutator_defect, hamiltonian)
 from padicosc.padics import (DEFAULT_PRECISION, PadicNumber, n_minus, vp,
                              vp_factorial)
 from padicosc.series import (
@@ -413,6 +416,8 @@ def min_exponent(*exponents):
 
 
 def oracle_expand(samples, truncation):
+    if truncation < 1 or len(samples) < truncation:
+        raise DomainError("too few samples")
     diffs, row = [], list(samples)
     while row:
         diffs.append(row[0])
@@ -446,8 +451,8 @@ def oracle_convert(f):
                                f.tail_bound_exponent, sup_norm_exponent(f)))
 
 
-def oracle_convert_back(g):
-    m = g.truncation
+def oracle_convert_back(g, m=None):
+    m = g.truncation if m is None else m
     f = oracle_expand([oracle_vdp_eval(g, k) for k in range(m)], m)
     return MahlerSeries(prime=g.prime, coefficients=f.coefficients,
                         tail_bound_exponent=min_exponent(
@@ -548,3 +553,137 @@ def test_eval_at_far_integers_matches_comb():
                 edge_padic(rng, p) for _ in range(m)))
             for x in (-p**50, -1, *range(m + 1), p**50 + 3):
                 assert mahler_eval(f, x) == comb_oracle(f, x), (f, x)
+
+
+# -- series held as integer rows -----------------------------------------
+#
+# The oracles act coefficient by coefficient on PadicNumber objects, as
+# the series layer did before it held rows: a rule scales each
+# coefficient by its int weight, + and - add coefficient by coefficient,
+# and vdp_eval scans every index for the discs that hold x.
+
+
+def oracle_rule(op, f):
+    shift, weight = RULES[op]
+    p, m, tail = f.prime, f.truncation, f.tail_bound_exponent
+    out = [PadicNumber.zero(p)] * m
+    if shift < 0 and tail is not None:
+        out[m + shift:] = [PadicNumber.zero(p, known_to=tail)] * -shift
+    for n, c in enumerate(f.coefficients):
+        c = oracle_times(c, weight(n))
+        if 0 <= n + shift < m:
+            out[n + shift] = c
+        elif n + shift >= m:
+            tail = min_exponent(tail, c.norm_bound_exponent())
+    return MahlerSeries(prime=p, coefficients=tuple(out),
+                        tail_bound_exponent=tail)
+
+
+def oracle_combine(f, g, sign):
+    if f.prime != g.prime or f.truncation != g.truncation:
+        raise DomainError("mismatch")
+    coeffs = tuple(oracle_add(a, b if sign > 0 else -b)
+                   for a, b in zip(f.coefficients, g.coefficients))
+    return type(f)(f.prime, coeffs, min_exponent(f.tail_bound_exponent,
+                                                 g.tail_bound_exponent))
+
+
+def oracle_defect(f):
+    up_down = oracle_rule("lowering", oracle_rule("raising", f))
+    down_up = oracle_rule("raising", oracle_rule("lowering", f))
+    return oracle_combine(oracle_combine(up_down, down_up, -1), f, -1)
+
+
+def oracle_sup_norm_exponent(f):
+    return min_exponent(f.tail_bound_exponent,
+                        *(c.norm_bound_exponent() for c in f.coefficients))
+
+
+def series_outcome(fn, *args):
+    """(type, coefficients, tail) of the series, the value itself, or the
+    type of the precision or domain error raised."""
+    try:
+        out = fn(*args)
+    except (DomainError, PrecisionExhaustedError) as exc:
+        return type(exc)
+    if isinstance(out, (MahlerSeries, VanDerPutSeries)):
+        return type(out), out.coefficients, out.tail_bound_exponent
+    return out
+
+
+def test_row_kernels_match_per_coefficient_oracle():
+    rng = random.Random(1818)
+    raised = Counter()
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7, 11))
+        m = rng.randrange(1, 41)
+        f, h = (MahlerSeries(p, [edge_padic(rng, p) for _ in range(m)],
+                             rng.choice((None, rng.randrange(-2, 9))))
+                for _ in range(2))
+        g = VanDerPutSeries(p, f.coefficients, f.tail_bound_exponent)
+        short = MahlerSeries(p, f.coefficients[:-1] or h.coefficients + h.coefficients)
+        for got, want in (
+                ((lambda a, b: a + b), (lambda a, b: oracle_combine(a, b, 1))),
+                ((lambda a, b: a - b), (lambda a, b: oracle_combine(a, b, -1)))):
+            for a, b in ((f, h), (h, f), (f, short)):
+                assert series_outcome(got, a, b) == series_outcome(want, a, b)
+        assert series_outcome(lambda a: -a, f) == series_outcome(
+            lambda a: MahlerSeries(p, [-c for c in a.coefficients],
+                                   a.tail_bound_exponent), f)
+        for op in RULES:
+            assert series_outcome(_apply_rule, op, f) == series_outcome(
+                oracle_rule, op, f), (op, f)
+        assert series_outcome(commutator_defect, f) == series_outcome(
+            oracle_defect, f)
+        samples = list(f.coefficients) + list(h.coefficients)
+        for t in (m, rng.randrange(1, m + 1), len(samples), len(samples) + 1):
+            assert series_outcome(mahler_expand, samples, t) == series_outcome(
+                oracle_expand, samples, t)
+        assert series_outcome(convert, f) == series_outcome(oracle_convert, f)
+        for k in (m, rng.randrange(1, m + 1), m + rng.randrange(1, 9)):
+            assert series_outcome(convert_back, g, k) == series_outcome(
+                oracle_convert_back, g, k)
+        for series in (f, g):
+            assert sup_norm_exponent(series) == oracle_sup_norm_exponent(series)
+        points = edge_points(rng, p, m) + [
+            -rng.randrange(1, p**9), p ** rng.randrange(1, 6) + rng.randrange(p**8)]
+        for x in points:
+            want = series_outcome(oracle_eval, f, x)
+            assert series_outcome(mahler_eval, f, x) == want, (f, x)
+            want = series_outcome(oracle_vdp_eval, g, x)
+            assert series_outcome(vdp_eval, g, x) == want, (g, x)
+            raised[want if isinstance(want, type) else "value"] += 1
+    assert raised[PrecisionExhaustedError] > 20
+    assert raised[DomainError] > 20
+    assert raised["value"] > 300
+
+
+def test_ladder_results_build_coefficients_on_first_read(monkeypatch):
+    f = random_unit_series(random.Random(18), 5, 12)
+    built = Counter()
+    init = PadicNumber.__init__
+
+    def counted_init(obj, *args, **kwargs):
+        built["PadicNumber"] += 1
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(PadicNumber, "__init__", counted_init)
+    d = hamiltonian(apply_raising(f)) - apply_raising(hamiltonian(f))
+    assert built["PadicNumber"] == 0
+    coeffs = d.coefficients
+    assert built["PadicNumber"] == 12
+    assert d.coefficients is coeffs and built["PadicNumber"] == 12
+    monkeypatch.undo()
+
+    # a series built from rows and the same series built from
+    # coefficients agree in repr, ==, hash and a pickle round trip
+    for rows_built in (lambda: apply_raising(f), lambda: convert(f)):
+        same = type(rows_built())(5, rows_built().coefficients,
+                                  rows_built().tail_bound_exponent)
+        assert rows_built() == same and same == rows_built()
+        assert hash(rows_built()) == hash(same)
+        assert repr(rows_built()) == repr(same)
+        for series in (rows_built(), same):
+            back = pickle.loads(pickle.dumps(series))
+            assert type(back) is type(series) and back == series
+            assert repr(back) == repr(series)
