@@ -44,7 +44,9 @@ def _min_exponent(*exponents: int | None) -> int | None:
 
 
 def _row_of(c: PadicNumber):
-    return None if c.is_exact_zero else (c.valuation, c.unit, c.abs_precision)
+    """c's row, None for the exact zero (unit 0, known_to None)."""
+    v = c.valuation
+    return (v, c.unit, v + c.precision) if c.unit or c.known_to is not None else None
 
 
 def _negated(row):  # a term for _row_sum: the unit is not reduced
@@ -83,8 +85,9 @@ class _SeriesBase(_Frozen):
     def coefficients(self) -> tuple:
         """Built on first read and kept; racing threads build equal tuples."""
         if self._coefficients is None:
-            object.__setattr__(self, "_coefficients", tuple(
-                [PadicNumber._from_row(self.prime, r) for r in self._rows]))
+            p, from_row = self.prime, PadicNumber._from_row
+            object.__setattr__(self, "_coefficients",
+                               tuple([from_row(p, r) for r in self._rows]))
         return self._coefficients
 
     @property
