@@ -635,7 +635,7 @@ def test_row_kernels_match_per_coefficient_oracle():
                 oracle_rule, op, f), (op, f)
         assert series_outcome(commutator_defect, f) == series_outcome(
             oracle_defect, f)
-        samples = list(f.coefficients) + list(h.coefficients)
+        samples = list(f.coefficients) + list(h.coefficients[:rng.randrange(1, 9)])
         for t in (m, rng.randrange(1, m + 1), len(samples), len(samples) + 1):
             assert series_outcome(mahler_expand, samples, t) == series_outcome(
                 oracle_expand, samples, t)
