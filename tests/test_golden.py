@@ -35,6 +35,8 @@ COMMANDS = (
     "--p 2 --precision 32 zeta-interp 2",
     "--p 5 --m 64 commutator-check --trials 50 --seed 7",
     "--p 5 orbit 2",
+    "--p 7 orbit 0",
+    "--p 13 --m 8 orbit 4",
     "--p 7 --kappa0 2 --precision 20 zeta-measure 8 --levels 3..5",
     "--p 2 --precision 20 zeta-measure 4 --levels 2..8",
     "--p 3 --regulator 5 zeta-measure 6 --levels 1..4",
