@@ -6,7 +6,7 @@ which equals zeta^(kappa0 * t) for zeta a fixed primitive (p-1)-st root
 of unity and t the discrete logarithm of alpha in the residue field.
 The induced action on a truncated operator multiplies the whole matrix
 by the same root of unity, so iterating it walks a cycle whose length
-is (p-1)/gcd(kappa0, p-1).
+is (p-1)/gcd(kappa0, p-1); orbit finds that length on the scalar.
 
 Everything here needs the torsion subgroup mu_(p-1) to be nontrivial,
 so the operations are gated to odd primes.
@@ -24,7 +24,7 @@ from .padics import (
     teichmuller,
 )
 from .series import MahlerSeries, basis_vector
-from .operators import OperatorMatrix, mat_scale, matrices_agree
+from .operators import OperatorMatrix, mat_scale
 
 
 def _require_odd_prime(p: int) -> None:
@@ -138,17 +138,17 @@ def rho_prime_apply(branch: Branch, t: int, a: OperatorMatrix) -> OperatorMatrix
 def orbit(branch: Branch, a: OperatorMatrix) -> tuple[list[OperatorMatrix], int]:
     """The full cycle over t = 0..p-2 and the least period of a.
 
-    The period is found by honest matrix comparison, not by the gcd
-    formula, so the formula stays testable against this output.
+    rho' scales a by zeta^(kappa0 * t), and a is nonzero, so the period
+    is the least t >= 1 for which zeta^(kappa0 * t) - 1 is zero.  It is
+    found by comparing that scalar, not by the gcd formula, so the
+    formula stays testable against this output.
     """
     p = branch.prime
     _require_odd_prime(p)
     if a.is_zero_matrix():
         raise DomainError("orbit of the zero operator is not defined")
     mats = [rho_prime_apply(branch, t, a) for t in range(p - 1)]
-    period = p - 1
-    for t in range(1, p):
-        if matrices_agree(mats[t % (p - 1)], a):
-            period = t
-            break
+    zeta = fixed_generator(p, a.precision)
+    period = next(t for t in range(1, p)
+                  if (zeta ** (branch.kappa0 * t % (p - 1)) - 1).is_zero)
     return mats, period

@@ -18,14 +18,17 @@ and sums each index's rows with one _row_sum.
 The matrix form (as_matrix) is the rule restricted to the window, for
 kernel_solve, the cyclic orbit and serialization.  It has no tail, so
 it neither applies nor composes: either would certify zeros that the
-window cannot see.
+window cannot see.  Every matrix built here is a weighted shift, with
+at most one entry per row and per column, and the cyclic action only
+scales it; kernel_solve reads the kernel off the columns and raises
+DomainError for any other matrix.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import PadicNumber, _Frozen, _row_sum, _split
-from .series import MahlerSeries, _min_exponent, _negated
+from .series import MahlerSeries, _min_exponent, _negated, basis_vector
 
 # operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
 RULES = {
@@ -140,18 +143,14 @@ def as_matrix(op: str, dimension: int, p: int,
     return OperatorMatrix.from_dict(p, dimension, entries, precision)
 
 
-def _check_compatible(a: OperatorMatrix, b: OperatorMatrix) -> None:
-    if a.prime != b.prime or a.dimension != b.dimension:
-        raise DomainError("matrix shape or prime mismatch")
-
-
 def mat_scale(scalar, a: OperatorMatrix) -> OperatorMatrix:
     out = {pos: scalar * v for pos, v in a.to_dict().items()}
     return OperatorMatrix.from_dict(a.prime, a.dimension, out, a.precision)
 
 
 def matrices_agree(a: OperatorMatrix, b: OperatorMatrix) -> bool:
-    _check_compatible(a, b)
+    if a.prime != b.prime or a.dimension != b.dimension:
+        raise DomainError("matrix shape or prime mismatch")
     da, db = a.to_dict(), b.to_dict()
     zero = PadicNumber.zero(a.prime)
     for pos in set(da) | set(db):
@@ -161,65 +160,31 @@ def matrices_agree(a: OperatorMatrix, b: OperatorMatrix) -> bool:
 
 
 def kernel_solve(a: OperatorMatrix) -> list[MahlerSeries]:
-    """Basis of the null space by Gauss-Jordan elimination over Q_p.
+    """Basis of the null space of a weighted shift over Q_p.
 
-    Pivots are chosen with maximal p-adic absolute value (smallest
-    valuation), ties broken by lowest row index; unit pivots lose no
-    precision.  An entry about which nothing is known (a zero marker
-    with no vanishing digits) makes the rank undecidable.
+    a holds at most one entry per row and per column, as as_matrix and
+    rho' build, so the kernel is spanned by the P_j whose column j holds
+    no entry or a zero entry.  Any other matrix raises DomainError
+    naming the first entry, in row-major order, that is a second one in
+    its row or column.  A zero marker with no vanishing digits makes the
+    rank undecidable.
 
-    The kernel is that of the truncated matrix.  For raising it is
-    spanned by P_{M-1} only because the window drops the image of the
-    top column; a+ itself is injective.
+    The kernel is that of the truncated matrix: for raising it is P_{M-1}
+    only because the window drops the top column's image; a+ is injective.
     """
-    p = a.prime
-    m = a.dimension
-    zero = PadicNumber.zero(p)
-    rows = [[zero] * m for _ in range(m)]
+    rows, cols, nonzero = set(), set(), set()
     for i, j, v in a.entries:
-        rows[i][j] = v
-    pivot_of_col: dict[int, int] = {}
-    used = set()
-    for col in range(m):
-        best = None
-        for r in range(m):
-            if r in used:
-                continue
-            e = rows[r][col]
-            if e.is_zero:
-                if not e.is_exact_zero and e.known_to <= 0:
-                    raise PrecisionExhaustedError(
-                        "rank undecidable: entry (%d, %d) has no known digits"
-                        % (r, col))
-                continue
-            if best is None or e.valuation < rows[best][col].valuation:
-                best = r
-        if best is None:
-            continue
-        used.add(best)
-        pivot_of_col[col] = best
-        pivot = rows[best][col]
-        for r in range(m):
-            if r == best:
-                continue
-            e = rows[r][col]
-            if e.is_zero:
-                continue
-            factor = e / pivot
-            for j in range(m):
-                pv = rows[best][j]
-                if pv.is_exact_zero:
-                    continue
-                rows[r][j] = rows[r][j] - factor * pv
-    basis = []
-    for free in range(m):
-        if free in pivot_of_col:
-            continue
-        vec = [PadicNumber.zero(p) for _ in range(m)]
-        vec[free] = PadicNumber.from_int(1, p, a.precision)
-        for col, r in pivot_of_col.items():
-            e = rows[r][free]
-            if not e.is_zero:
-                vec[col] = -(e / rows[r][col])
-        basis.append(MahlerSeries(prime=p, coefficients=tuple(vec)))
-    return basis
+        if i in rows or j in cols:
+            raise DomainError(
+                "kernel_solve needs a weighted shift: entry (%d, %d) is a "
+                "second one in its row or column" % (i, j))
+        rows.add(i)
+        cols.add(j)
+        if not v.is_zero:
+            nonzero.add(j)
+        elif not v.is_exact_zero and v.known_to <= 0:
+            raise PrecisionExhaustedError(
+                "rank undecidable: entry (%d, %d) has no known digits"
+                % (i, j))
+    return [basis_vector(a.prime, j, a.dimension, a.precision)
+            for j in range(a.dimension) if j not in nonzero]

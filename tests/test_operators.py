@@ -7,6 +7,7 @@ import pytest
 
 from padicosc.errors import DomainError, PrecisionExhaustedError
 from padicosc.padics import PadicNumber, vp
+from padicosc.galois import Branch, rho_prime_apply
 from padicosc.series import MahlerSeries, basis_vector, mahler_eval, mahler_expand
 from padicosc.operators import (
     RULES,
@@ -21,7 +22,7 @@ from padicosc.operators import (
     mat_scale,
     OPERATOR_NAMES,
 )
-from matrix_helpers import identity_matrix, mat_add
+from matrix_helpers import gauss_jordan_kernel, identity_matrix, mat_add
 from test_series import edge_padic, min_exponent, oracle_add, oracle_times
 
 
@@ -283,18 +284,22 @@ def test_kernel_of_invertible_matrix_is_trivial():
     assert kernel_solve(mat) == []
 
 
-def test_kernel_pivot_prefers_unit():
-    # proportional rows [[5, 15], [2, 6]]; column 0 must pivot on the
-    # unit 2 in the second row, not the 5 above it
-    p = 5
+def _proportional_rows(p=5):
+    # [[5, 15], [2, 6]]: not a weighted shift
     entries = {
         (0, 0): PadicNumber.from_int(5, p, 8),
         (0, 1): PadicNumber.from_int(15, p, 8),
         (1, 0): PadicNumber.from_int(2, p, 8),
         (1, 1): PadicNumber.from_int(6, p, 8),
     }
-    mat = OperatorMatrix.from_dict(p, 2, entries, 8)
-    basis = kernel_solve(mat)
+    return OperatorMatrix.from_dict(p, 2, entries, 8)
+
+
+def test_kernel_pivot_prefers_unit():
+    # the Gauss-Jordan oracle on proportional rows: column 0 must pivot
+    # on the unit 2 in the second row, not the 5 above it
+    p = 5
+    basis = gauss_jordan_kernel(_proportional_rows(p))
     assert len(basis) == 1
     vec = basis[0].coefficients
     assert vec[1].agrees_with(PadicNumber.one(p, 8))
@@ -302,6 +307,38 @@ def test_kernel_pivot_prefers_unit():
     lhs = PadicNumber.from_int(2, p, 8) * vec[0] \
         + PadicNumber.from_int(6, p, 8) * vec[1]
     assert lhs.is_zero
+
+
+def test_kernel_rejects_a_second_entry_in_a_row_or_column():
+    with pytest.raises(DomainError, match=r"\(0, 1\)"):
+        kernel_solve(_proportional_rows())
+    one = PadicNumber.one(5, 8)
+    column = OperatorMatrix.from_dict(5, 3, {(0, 0): one, (2, 0): one}, 8)
+    with pytest.raises(DomainError, match=r"\(2, 0\)"):
+        kernel_solve(column)
+
+
+def _weighted_shifts(p, m):
+    """Every kind of matrix the library builds: the three operators,
+    the shifted Hamiltonians H - n I and the rho' images."""
+    mats = [as_matrix(name, m, p, 12) for name in OPERATOR_NAMES]
+    ham = mats[OPERATOR_NAMES.index("hamiltonian")]
+    for n in range(m):
+        mats.append(mat_add(ham, mat_scale(PadicNumber.from_int(-n, p, 12),
+                                           identity_matrix(p, m, 12))))
+    if p > 2:
+        for name in OPERATOR_NAMES:
+            for t in range(p - 1):
+                mats.append(rho_prime_apply(Branch(p, 1), t,
+                                            as_matrix(name, m, p, 12)))
+    return mats
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_kernel_matches_gauss_jordan_oracle(p):
+    for m in (1, 2, 5, 9, 32):
+        for mat in _weighted_shifts(p, m):
+            assert kernel_solve(mat) == gauss_jordan_kernel(mat), (p, m, mat)
 
 
 def test_kernel_with_unknown_entry_raises():
