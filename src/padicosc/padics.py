@@ -12,9 +12,9 @@ modulus 1 and _make returns zero(known_to=valuation + precision).
 Operations that must distinguish it from a small nonzero number raise
 PrecisionExhaustedError instead of guessing.
 
-An int or Fraction operand is exact and enters the arithmetic as its
-numerator and denominator: multiplying keeps the relative precision,
-adding keeps the absolute precision.
+An int or Fraction operand is exact and enters through from_rational,
+at self's relative precision for * and / and at its absolute precision
+for + and -, so each operator has one formula.
 
 Also provided: Hensel digit expansions, the decomposition
 Z_p^* = mu_phi(q) x (1 + qZ_p) (q = p, or 4 when p = 2): the Teichmuller
@@ -337,6 +337,13 @@ class PadicNumber(_Frozen):
         m = self.prime**self.precision
         return PadicNumber(self.prime, self.valuation, (-self.unit) % m, self.precision)
 
+    def _embed(self, q, n: int) -> "PadicNumber":
+        """The exact int or Fraction q known to max(n, 1) digits: n is
+        self's relative precision for * and /, and its absolute precision
+        less v_p(q) for + and -."""
+        return PadicNumber.from_rational(q.numerator, q.denominator,
+                                         self.prime, max(n, 1))
+
     def __add__(self, other) -> "PadicNumber":
         return self._add(other, 1)
 
@@ -347,12 +354,18 @@ class PadicNumber(_Frozen):
 
     def _add(self, other, sign: int) -> "PadicNumber":
         """self + sign * other for sign = +-1, canonicalized once."""
-        if not isinstance(other, PadicNumber):
-            if isinstance(other, (int, Fraction)):
-                return self._add_exact(sign * other)
-            return NotImplemented
-        self._check_same_field(other)
         p = self.prime
+        if not isinstance(other, PadicNumber):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other == 0:
+                return self
+            if self.is_exact_zero:
+                raise PadicError("exact zero + exact rational has unbounded precision; "
+                                 "embed the rational with from_rational first")
+            vq = vp(other.numerator, p) - vp(other.denominator, p)
+            other = self._embed(other, self.abs_precision - vq)
+        self._check_same_field(other)
         if self.is_exact_zero:
             return other if sign > 0 else -other
         if other.is_exact_zero:
@@ -364,25 +377,11 @@ class PadicNumber(_Frozen):
     def __rsub__(self, other) -> "PadicNumber":
         return (-self).__add__(other)
 
-    def _add_exact(self, q) -> "PadicNumber":
-        """Add an exact int or Fraction; absolute precision is preserved."""
-        if q == 0:
-            return self
-        p = self.prime
-        if self.is_exact_zero:
-            raise PadicError("exact zero + exact rational has unbounded precision; "
-                             "embed the rational with from_rational first")
-        n = self.abs_precision
-        vq = vp(q.numerator, p) - vp(q.denominator, p)
-        other = PadicNumber.from_rational(q.numerator, q.denominator, p,
-                                          max(n - vq, 1))
-        return self + other
-
     def __mul__(self, other) -> "PadicNumber":
-        if isinstance(other, (int, Fraction)):
-            return self._mul_exact(other.numerator, other.denominator)
         if not isinstance(other, PadicNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self._embed(other, self.precision)
         self._check_same_field(other)
         p = self.prime
         if self.is_exact_zero or other.is_exact_zero:
@@ -394,29 +393,13 @@ class PadicNumber(_Frozen):
     def __rmul__(self, other) -> "PadicNumber":
         return self.__mul__(other)
 
-    def _mul_exact(self, num: int, den: int) -> "PadicNumber":
-        """Multiply by num/den (den nonzero); relative precision is preserved.
-        The unit is multiplied by num's unit directly, and by the inverse
-        of den's only when den is not 1, as for every int scalar."""
-        p = self.prime
-        if num == 0:
-            return PadicNumber.zero(p)
-        if self.is_exact_zero:
-            return self
-        v, u = _split(num, p)
-        m = self.precision
-        if den != 1:
-            vd, du = _split(den, p)
-            v, u = v - vd, u * pow(du, -1, p**m)
-        return PadicNumber._make(p, self.valuation + v, self.unit * u, m)
-
     def __truediv__(self, other) -> "PadicNumber":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PadicNumber):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self._mul_exact(other.denominator, other.numerator)
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
+            other = self._embed(other, self.precision)
         self._check_same_field(other)
         p = self.prime
         if other.is_exact_zero:
@@ -433,9 +416,7 @@ class PadicNumber(_Frozen):
 
     def __rtruediv__(self, other) -> "PadicNumber":
         if isinstance(other, (int, Fraction)):
-            num = PadicNumber.from_rational(other.numerator, other.denominator,
-                                            self.prime, max(self.precision, 1))
-            return num / self
+            return self._embed(other, self.precision) / self
         return NotImplemented
 
     def __pow__(self, n: int) -> "PadicNumber":

@@ -294,6 +294,105 @@ def test_exact_scalar_operands():
         PadicNumber.zero(p) + Fraction(1, 2)
 
 
+def mul_exact_oracle(x: PadicNumber, num: int, den: int) -> PadicNumber:
+    """x * num/den for den nonzero, by the direct formula: the unit
+    times num's unit and den's inverse mod p**precision, so the
+    relative precision is kept."""
+    p = x.prime
+    if num == 0:
+        return PadicNumber.zero(p)
+    if x.is_exact_zero:
+        return x
+    v, m = vp(num, p), x.precision
+    u = num // p**v
+    if den != 1:
+        vd = vp(den, p)
+        v, u = v - vd, u * pow(den // p**vd, -1, p**m)
+    return PadicNumber._make(p, x.valuation + v, x.unit * u, m)
+
+
+def add_exact_oracle(x: PadicNumber, q) -> PadicNumber:
+    """x + q with q embedded to x's absolute precision less v_p(q), so
+    the absolute precision is kept; an exact zero plus a nonzero q has
+    no precision to keep."""
+    if q == 0:
+        return x
+    if x.is_exact_zero:
+        raise PadicError("exact zero + exact rational has unbounded precision; "
+                         "embed the rational with from_rational first")
+    q = Fraction(q)
+    n = max(x.abs_precision - frac_val(q, x.prime), 1)
+    return x + PadicNumber.from_rational(q.numerator, q.denominator, x.prime, n)
+
+
+def div_exact_oracle(x: PadicNumber, q) -> PadicNumber:
+    if q == 0:
+        raise ZeroDivisionError("division by zero")
+    return mul_exact_oracle(x, q.denominator, q.numerator)
+
+
+EXACT_OPERATIONS = {
+    "x*q": (lambda x, q: x * q,
+            lambda x, q: mul_exact_oracle(x, q.numerator, q.denominator)),
+    "q*x": (lambda x, q: q * x,
+            lambda x, q: mul_exact_oracle(x, q.numerator, q.denominator)),
+    "x/q": (lambda x, q: x / q, div_exact_oracle),
+    "q/x": (lambda x, q: q / x,
+            lambda x, q: embed(q, x.prime, max(x.precision, 1)) / x),
+    "x+q": (lambda x, q: x + q, add_exact_oracle),
+    "q+x": (lambda x, q: q + x, add_exact_oracle),
+    "x-q": (lambda x, q: x - q, lambda x, q: add_exact_oracle(x, -q)),
+    "q-x": (lambda x, q: q - x, lambda x, q: add_exact_oracle(-x, q)),
+}
+
+
+def outcome(fn, x, q):
+    """The five fields of fn(x, q), or the type and text it raised."""
+    try:
+        y = fn(x, q)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return y.prime, y.valuation, y.unit, y.precision, y.known_to
+
+
+def random_operand(rng, p) -> PadicNumber:
+    """An exact zero, a marker O(p^k), or a nonzero value with
+    valuation -3..3 and 1..11 digits."""
+    kind = rng.random()
+    if kind < 0.1:
+        return PadicNumber.zero(p)
+    if kind < 0.4:
+        return PadicNumber.zero(p, known_to=rng.randint(-4, 7))
+    n = rng.randint(1, 11)
+    unit = rng.randrange(1, p**n)
+    while unit % p == 0:
+        unit = rng.randrange(1, p**n)
+    return PadicNumber(p, rng.randint(-3, 3), unit, n)
+
+
+def random_exact_scalar(rng, p):
+    fixed = (0, 1, -1, p, -p * p, 2 * p**3, True, False)
+    if rng.random() < 0.4:
+        return rng.choice(fixed)
+    num = rng.randint(-10**6, 10**6)
+    if rng.random() < 0.4:
+        return num
+    return Fraction(num, rng.choice((1, p, p * p, 3, 7 * p)))
+
+
+def test_exact_scalars_match_direct_formulas():
+    # an int or Fraction enters through from_rational; results and
+    # exceptions must be those of the direct formulas above.  The
+    # embedding keeps at least one digit: with none, a marker divided
+    # by an int would raise instead of returning a marker
+    rng = random.Random(20)
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5, 7, 13))
+        x, q = random_operand(rng, p), random_exact_scalar(rng, p)
+        for name, (op, oracle) in EXACT_OPERATIONS.items():
+            assert outcome(op, x, q) == outcome(oracle, x, q), (name, x, q)
+
+
 def test_integer_powers():
     p = 5
     x = embed(Fraction(7, 2), p, 8)
