@@ -68,6 +68,9 @@ class Branch(_Frozen):
     __slots__ = ("prime", "kappa0")
 
     def __post_init__(self):
+        if any(not isinstance(v, int) or isinstance(v, bool)
+               for v in self._values()):
+            raise DomainError("branch fields must be integers, got %r" % (self,))
         if not is_prime(self.prime):
             raise DomainError("branch needs a prime; %r is not prime"
                               % (self.prime,))

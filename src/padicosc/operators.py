@@ -137,6 +137,8 @@ def as_matrix(op: str, dimension: int, p: int,
     """The named operator's rule restricted to the M x M window."""
     if op not in RULES:
         raise DomainError("unknown operator %r" % op)
+    if dimension < 1:
+        raise DomainError("matrix dimension M = %d, need M >= 1" % dimension)
     shift, weight = RULES[op]
     entries = {(n + shift, n): PadicNumber.from_int(weight(n), p, precision)
                for n in range(dimension) if 0 <= n + shift < dimension}

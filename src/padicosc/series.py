@@ -133,8 +133,8 @@ class VanDerPutSeries(_SeriesBase):
 
 def basis_vector(p: int, n: int, truncation: int, precision: int) -> MahlerSeries:
     """The Mahler basis element P_n as a truncated series."""
-    if n >= truncation:
-        raise DomainError("basis index beyond truncation")
+    if not 0 <= n < truncation:
+        raise DomainError("basis index %d outside [0, %d)" % (n, truncation))
     coeffs = [PadicNumber.zero(p) for _ in range(truncation)]
     coeffs[n] = PadicNumber.one(p, precision)
     return MahlerSeries(prime=p, coefficients=tuple(coeffs))

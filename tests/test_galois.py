@@ -128,6 +128,15 @@ def test_branch_validation():
         Branch(6, 1)
 
 
+@pytest.mark.parametrize("fields", [(5.0, 2), (5, 2.0), (7, True), (True, 0),
+                                    (5, None), ("5", 2)])
+def test_branch_fields_must_be_ints(fields):
+    # is_prime(5.0) holds and 0 <= 2.0 <= 3: only the type check keeps
+    # a float from failing later, inside zeta_measure
+    with pytest.raises(DomainError, match="must be integers"):
+        Branch(*fields)
+
+
 # -- ground state --------------------------------------------------------
 
 

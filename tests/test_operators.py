@@ -244,6 +244,14 @@ def test_matrix_scale_and_mismatch():
         as_matrix("squaring", 4, 5, 8)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_matrix_needs_a_positive_dimension(m):
+    # as matrix_from_dict does; a window of dimension -3 would have the
+    # kernel []
+    with pytest.raises(DomainError, match="M >= 1"):
+        as_matrix("lowering", m, 5, 8)
+
+
 def test_matrix_precision_field():
     mat = as_matrix("raising", 4, 5, 8)
     assert mat.precision == 8

@@ -283,6 +283,14 @@ def test_convert_constant():
     assert all(c.is_zero for c in g.coefficients[1:])
 
 
+def test_basis_vector_index_must_lie_in_the_window():
+    assert basis_vector(5, 3, 4, 8).coefficients[3] == PadicNumber.one(5, 8)
+    # coeffs[n] would wrap a negative index around to P_(M + n)
+    for n in (-1, -4, 4):
+        with pytest.raises(DomainError):
+            basis_vector(5, n, 4, 8)
+
+
 def test_convert_roundtrip_p1():
     p = 3
     f = basis_vector(p, 1, 4, 16)
