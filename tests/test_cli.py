@@ -289,6 +289,23 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
     assert proc.stdout.split() == []
 
 
+def test_readme_quick_tour_runs():
+    # the README's python block, run as a reader would paste it, so the
+    # tour cannot drift from the API
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    assert "zeta_measure" in code
+    src = os.path.dirname(os.path.dirname(padicosc.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, "--help")
     assert rc == 0 and "subcommand" in out
