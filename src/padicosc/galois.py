@@ -94,11 +94,6 @@ class GaloisElement(_Frozen):
     def from_unit(cls, alpha: PadicNumber) -> "GaloisElement":
         return cls(prime=alpha.prime, alpha=alpha, t=t_of(alpha))
 
-    def consistent(self) -> bool:
-        """w(alpha) = generator^t at the element's working precision."""
-        n = self.alpha.precision
-        zeta = fixed_generator(self.prime, n)
-        return (teichmuller(self.alpha) - zeta**self.t).is_zero
 
 
 class GroundState(_Frozen):

@@ -122,13 +122,17 @@ class _Frozen:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        if len(args) > len(names) or len(values) != len(names) \
-                or not set(kwargs) <= set(names[len(args):]):
-            raise TypeError("%s() takes the fields %s"
-                            % (type(self).__name__, ", ".join(names)))
-        for name in names:
-            object.__setattr__(self, name, values[name])
+        if not kwargs and len(args) == len(names):  # no binder needed
+            values = zip(names, args)
+        else:
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or len(values) != len(names) \
+                    or not set(kwargs) <= set(names[len(args):]):
+                raise TypeError("%s() takes the fields %s"
+                                % (type(self).__name__, ", ".join(names)))
+            values = values.items()
+        for name, value in values:
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -267,12 +271,6 @@ class PadicNumber(_Frozen):
                 % (self.prime, self.known_to))
         v = self.valuation
         return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime ** (-v))
-
-    def norm_bound_exponent(self) -> int | None:
-        """e with |x|_p <= p**(-e); None means |x|_p = 0."""
-        if self.is_exact_zero:
-            return None
-        return self.valuation
 
     def digits(self) -> tuple:
         """Little-endian digits of the unit part, one per known digit."""

@@ -210,12 +210,6 @@ def parse_series_file(text: str) -> MahlerSeries | VanDerPutSeries:
         "coefficients": records[1:]})
 
 
-def format_samples_file(values: Sequence[PadicNumber], p: int) -> str:
-    lines = [dumps({"basis": _SAMPLES_TOKEN, "p": p, "M": len(values)})]
-    lines.extend(dumps(padic_to_dict(v)) for v in values)
-    return "\n".join(lines) + "\n"
-
-
 def parse_samples_file(text: str) -> tuple[int, list[PadicNumber]]:
     """Sample values f(0), ..., f(M-1); returns (p, values)."""
     what = "samples file"

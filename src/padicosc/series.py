@@ -181,22 +181,6 @@ def _basis_values(x: PadicNumber, count: int):
         yield (*_split(c, p), m) if c else (m, 0, m)
 
 
-def mahler_basis_eval(n: int, x: PadicNumber) -> PadicNumber:
-    """P_n(x) = x(x-1)...(x-n+1)/n! for x in Z_p.
-
-    The division by n! costs v_p(n!) digits of absolute precision, so the
-    result is known modulo p**(absprec(x) - v_p(n!)).  Supply x with that
-    many extra digits when full precision is needed.
-    """
-    p = x.prime
-    *_, (v, u, m) = _basis_values(x, n + 1)
-    if n == 0:
-        return PadicNumber.one(p)           # P_0 = 1 exactly, as from_int(1)
-    if x.is_exact_zero:
-        return PadicNumber.zero(p)          # binomial(0, n) = 0 for n >= 1
-    return PadicNumber._make(p, v, u, m - v)
-
-
 def _mahler_terms(f: MahlerSeries, x: Point) -> list:
     """The terms (v, u, N) of f's truncated sum at x."""
     p, rows = f.prime, f._rows

@@ -19,6 +19,11 @@ zeta_measure plans, then runs.  The plan fixes in plain integers, before
 any sum: the prefactor mod p^N (w(r), <r> = r w(r)^(phi(q)-1), <r>^(1-s)
 and w(r)^kappa0, each one modular pow), the working digits and the error
 bound its valuation sets, the exponent, and the kernel with its work.
+Only the bound, the kernel and its work read the level.  The rest, with
+the regulator and the pole checks, is the point plan, kept for the last
+4 keys (s, p, kappa0, r, precision), so the levels of one sweep plan
+their point once.  The class sums keep their power-sum rows for the last
+4 (e, p^digits) whose table fits in about 64 KB; a larger one streams.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 from _thread import allocate_lock
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -268,6 +274,22 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
+def _power_sum_rows(e: int, mod: int):
+    """C(e, i) and the row k! S(i, k), k = 0..i, mod `mod`, for i = 0..e."""
+    row, ce = [1], 1  # k! S(i, k) mod `mod`, k = 0..i, and C(e, i)
+    for i in range(e + 1):
+        yield ce % mod, row
+        prev = row + [0]  # k! S(i+1, k) = k (k! S(i, k) + (k-1)! S(i, k-1))
+        row = [0] + [k * (prev[k] + prev[k - 1]) % mod
+                     for k in range(1, i + 2)]
+        ce = ce * (e - i) // (i + 1)
+
+
+@lru_cache(maxsize=4)
+def _kept_rows(e: int, mod: int) -> tuple:
+    return tuple(_power_sum_rows(e, mod))
+
+
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
                     level: int, digits: int) -> int:
     """_unit_sum for exponent e >= 0 by class sums, the same residue.
@@ -298,18 +320,17 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
         for k in range(e + 1):
             binom.append(c % mod)
             c = c * (n - k - 1) // (k + 2)
-    # sums[n, step][i] = C(e, i) D^i F_i(n) mod p^digits, D = step |r|; the
-    # rows k! S(i, k) are reduced too and made one at a time, so the
-    # memory stays O(e)
+    # sums[n, step][i] = C(e, i) D^i F_i(n) mod p^digits, D = step |r|; a
+    # table of rows up to about 64 KB is kept for the next call, a larger
+    # one is made a row at a time, so the memory stays O(e)
+    small = (e + 2) ** 2 * (256 + mod.bit_length()) <= 2**20
     sums = {key: [] for key in binoms}
-    row, ce = [1], 1  # k! S(i, k) mod p^digits, k = 0..i, and C(e, i)
-    for i in range(e + 1):
+    powers = dict.fromkeys(binoms, 1)  # D^i mod p^digits
+    for ce, row in (_kept_rows if small else _power_sum_rows)(e, mod):
         for (n, step), binom in binoms.items():
-            sums[n, step].append(sum(map(mul, row, binom)) * ce
-                                 * pow(step * size, i, mod) % mod)
-        row.append(0)  # k! S(i+1, k) = k (k! S(i, k) + (k-1)! S(i, k-1))
-        row = [0] + [k * (row[k] + row[k - 1]) % mod for k in range(1, i + 2)]
-        ce = ce * (e - i) // (i + 1)
+            d = powers[n, step]
+            sums[n, step].append(sum(map(mul, row, binom)) * ce * d % mod)
+            powers[n, step] = d * step * size % mod
     acc = 0
     for start, step, count, weight in runs:
         # count = n |r| + extra: the first `extra` sub-progressions hold
@@ -320,7 +341,7 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
             a = start + step * j
             h, x = 0, a % mod
             for g in sums[n, step]:
-                h = (h * x + g) % mod
+                h = h * x + g  # x < q is short: part % mod reduces h
             if j < extra:
                 h += pow(a + step * size * n, e, mod)
             part += (regulator * (rinv * a // q) - slope * a + half) * h
@@ -328,24 +349,12 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-def _plan(s, branch: Branch, regulator: int | None, level: int,
-          precision: int | None) -> tuple:
-    """Validate, then fix in plain ints before any sum: (regulator, exponent,
-    digits, v_den, den_unit, den_digits, error_bound_exponent, class_sums,
-    work).  The prefactor is den_unit p^v_den mod p^den_digits; v_den, read
-    at a probe of n_req + 10 digits, adds to the digits of the sum and cuts
-    the bound to level - v_den; work is the kernel's cost in Horner steps."""
-    p, kappa0 = branch.prime, branch.kappa0
-    _require_even_branch(branch)
+@lru_cache(maxsize=4, typed=True)
+def _point_plan(s, p: int, kappa0: int, regulator: int | None,
+                n_req: int) -> tuple:
+    """_plan's part that reads no level: (r, exponent, digits, v_den,
+    den_unit, den_digits).  A raise is not cached: it comes every call."""
     r = default_regulator(p) if regulator is None else regulator
-    _validate_regulator(r, p)
-    if level < _q_digits(p):
-        raise DomainError("level %d too small for p = %d" % (level, p))
-    n_req = DEFAULT_PRECISION if precision is None else precision
-    if n_req < 1:
-        raise DomainError("precision must be positive")
-    _check_exponent(s, p, "s")
-
     torsion_trivial = pow(r % p, kappa0, p) == 1
     x = s  # the point computed with; the report keeps s as given
     if isinstance(s, PadicNumber):
@@ -371,21 +380,41 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
             "raise the precision budget" % (den.known_to,))
     v_den = den.valuation
     digits = n_req + v_den + 4
-    den_digits = max(digits, probe)
     if digits > probe:
         den = _prefactor_denominator(x, kappa0, r, p, digits)
 
     if isinstance(x, int):
-        exponent = -x
-    else:
-        # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
-        # mod p^digits, so -s is needed only modulo that order
-        need = digits - _q_digits(p)
-        if x.abs_precision < need:
-            raise PrecisionExhaustedError(
-                "the exponent of <a>^(-s) needs s mod %d**%d, "
-                "but s is known mod %d**%d" % (p, need, p, x.abs_precision))
-        exponent = (-x).residue(need)
+        return r, -x, digits, v_den, den.unit, max(digits, probe)
+    # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
+    # mod p^digits, so -s is needed only modulo that order
+    need = digits - _q_digits(p)
+    if x.abs_precision < need:
+        raise PrecisionExhaustedError(
+            "the exponent of <a>^(-s) needs s mod %d**%d, "
+            "but s is known mod %d**%d" % (p, need, p, x.abs_precision))
+    return (r, (-x).residue(need), digits, v_den, den.unit,
+            max(digits, probe))
+
+
+def _plan(s, branch: Branch, regulator: int | None, level: int,
+          precision: int | None) -> tuple:
+    """Validate, then fix in plain ints before any sum: (regulator, exponent,
+    digits, v_den, den_unit, den_digits, error_bound_exponent, class_sums,
+    work).  The prefactor is den_unit p^v_den mod p^den_digits; v_den, read
+    at a probe of n_req + 10 digits, adds to the digits of the sum and cuts
+    the bound to level - v_den; work is the kernel's cost in Horner steps."""
+    p, kappa0 = branch.prime, branch.kappa0
+    _require_even_branch(branch)
+    if regulator is not None:
+        _validate_regulator(regulator, p)
+    if level < _q_digits(p):
+        raise DomainError("level %d too small for p = %d" % (level, p))
+    n_req = DEFAULT_PRECISION if precision is None else precision
+    if n_req < 1:
+        raise DomainError("precision must be positive")
+    _check_exponent(s, p, "s")
+    r, exponent, digits, v_den, den_unit, den_digits = _point_plan(
+        s, p, kappa0, regulator, n_req)
     # work in Horner steps, fitted to timings of both kernels (p <= 13,
     # e <= 24) near their crossover: the class sums take e + 1 per
     # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
@@ -397,7 +426,7 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     work = (subs + exponent + 1) * (exponent + 1) + 40
     loop = 7 * units + 10 * order  # twice the loop's work
     class_sums = 0 <= exponent < units and 2 * work < loop
-    return (r, exponent, digits, v_den, den.unit, den_digits, level - v_den,
+    return (r, exponent, digits, v_den, den_unit, den_digits, level - v_den,
             class_sums, work if class_sums else loop // 2)
 
 
@@ -416,6 +445,5 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
     integral = PadicNumber._make(
         p, 0, kernel(p, kappa0, exponent, r, level, digits), digits)
     den = PadicNumber(p, v_den, den_unit, den_digits - v_den)
-    return ZetaBranchEval(prime=p, kappa0=kappa0, s=s, regulator=r,
-                          level=level, value=integral / den,
-                          error_bound_exponent=bound, path="measure")
+    return ZetaBranchEval(p, kappa0, s, r, level, integral / den, bound,
+                          "measure")

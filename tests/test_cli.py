@@ -12,7 +12,6 @@ from padicosc import cli
 from padicosc.cli import SETTINGS, main
 from padicosc.padics import PadicNumber
 from padicosc.serialization import (
-    format_samples_file,
     format_series_file,
     orbit_from_dict,
     padic_from_dict,
@@ -20,6 +19,7 @@ from padicosc.serialization import (
     series_from_dict,
 )
 from padicosc.series import basis_vector
+from value_helpers import format_samples_file
 
 
 @pytest.fixture(autouse=True)

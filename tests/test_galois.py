@@ -26,6 +26,7 @@ from padicosc.galois import (
     t_of,
 )
 from matrix_helpers import mat_add
+from value_helpers import consistent
 
 
 def random_unit(rng, p, precision=16):
@@ -111,7 +112,7 @@ def test_element_consistency():
         for _ in range(10):
             el = GaloisElement.from_unit(random_unit(rng, p))
             assert 0 <= el.t <= p - 2
-            assert el.consistent()
+            assert consistent(el)
 
 
 # -- branches ------------------------------------------------------------

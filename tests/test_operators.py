@@ -24,6 +24,7 @@ from padicosc.operators import (
 )
 from matrix_helpers import gauss_jordan_kernel, identity_matrix, mat_add
 from test_series import edge_padic, min_exponent, oracle_add, oracle_times
+from value_helpers import norm_bound_exponent
 
 
 def ints(p, values, precision=16):
@@ -128,7 +129,7 @@ def test_ladder_operators_do_not_grow_norm():
         f = random_series(rng, p, 6)
         for op in (apply_raising, apply_lowering, hamiltonian):
             g = op(f)
-            exps = [c.norm_bound_exponent() for c in g.coefficients]
+            exps = [norm_bound_exponent(c) for c in g.coefficients]
             floor = min(c.valuation for c in f.coefficients)
             assert all(e is None or e >= floor for e in exps)
 
@@ -390,7 +391,7 @@ def oracle_apply(op, f):
             coeffs.append(c if w == 1 else oracle_times(c, w))
     tail = f.tail_bound_exponent
     for n in range(m - shift, m):
-        spill = f.coefficients[n].norm_bound_exponent()
+        spill = norm_bound_exponent(f.coefficients[n])
         tail = min_exponent(tail, None if spill is None
                             else spill + vp(weight(n), p))
     return MahlerSeries(prime=p, coefficients=tuple(coeffs),

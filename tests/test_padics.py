@@ -23,6 +23,7 @@ from padicosc.padics import (
     vp,
     vp_factorial,
 )
+from value_helpers import norm_bound_exponent
 
 
 def frac_val(q: Fraction, p: int) -> int:
@@ -409,7 +410,7 @@ def test_norms():
     assert x.norm() == Fraction(4)
     y = PadicNumber.from_int(50, 5, 4)
     assert y.norm() == Fraction(1, 25)
-    assert y.norm_bound_exponent() == 2
+    assert norm_bound_exponent(y) == 2
 
 
 def test_truncated_to():

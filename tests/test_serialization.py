@@ -12,7 +12,6 @@ from padicosc.padics import PadicNumber
 from padicosc.serialization import (
     SCHEMA_VERSION,
     dumps,
-    format_samples_file,
     format_series_file,
     matrix_from_dict,
     matrix_to_dict,
@@ -30,6 +29,7 @@ from padicosc.serialization import (
 )
 from padicosc.series import MahlerSeries, VanDerPutSeries, mahler_expand
 from padicosc.zeta import ZetaBranchEval, zeta_measure
+from value_helpers import format_samples_file
 
 
 def ints(p, values, n=12):

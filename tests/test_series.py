@@ -20,7 +20,6 @@ from padicosc.series import (
     basis_vector,
     convert,
     convert_back,
-    mahler_basis_eval,
     mahler_basis_eval_int,
     mahler_eval,
     mahler_expand,
@@ -30,6 +29,7 @@ from padicosc.series import (
     vdp_eval,
     vdp_expand,
 )
+from value_helpers import mahler_basis_eval, norm_bound_exponent
 
 
 def ints(p, values, precision=16):
@@ -82,7 +82,7 @@ def test_p6_integral_despite_division():
         n = rng.randrange(5**10)
         x = PadicNumber.from_int(n, 5, 10) if n else PadicNumber.zero(5, known_to=10)
         r = mahler_basis_eval(6, x)
-        assert r.norm_bound_exponent() is None or r.norm_bound_exponent() >= 0
+        assert norm_bound_exponent(r) is None or norm_bound_exponent(r) >= 0
         if not r.is_zero:
             # compare against exact integer binomial of the representative
             want = PadicNumber.from_int(math.comb(n, 6), 5, 12)
@@ -95,7 +95,7 @@ def test_pn_integrality_large_n():
         for n in (1, 8, 17, 33, 64):
             x = PadicNumber.from_int(rng.randrange(1, p**70), p, 70)
             r = mahler_basis_eval(n, x)
-            e = r.norm_bound_exponent()
+            e = norm_bound_exponent(r)
             assert e is None or e >= 0
 
 
@@ -331,8 +331,8 @@ def test_norm_equal_across_bases_on_polynomials():
             assert sup_norm(g) == sup_norm(f)
             # the max over stored coefficients alone already agrees:
             # polynomial values on 0..M-1 attain the Mahler sup norm
-            stored = min(c.norm_bound_exponent() for c in g.coefficients
-                         if c.norm_bound_exponent() is not None)
+            stored = min(norm_bound_exponent(c) for c in g.coefficients
+                         if norm_bound_exponent(c) is not None)
             assert stored == sup_norm_exponent(f)
 
 
@@ -430,7 +430,7 @@ def oracle_expand(samples, truncation):
     while row:
         diffs.append(row[0])
         row = [oracle_add(b, -a) for a, b in zip(row, row[1:])]
-    tail = min_exponent(*(w.norm_bound_exponent()
+    tail = min_exponent(*(norm_bound_exponent(w)
                           for w in diffs[truncation:]))
     return MahlerSeries(prime=samples[0].prime,
                         coefficients=tuple(diffs[:truncation]),
@@ -582,7 +582,7 @@ def oracle_rule(op, f):
         if 0 <= n + shift < m:
             out[n + shift] = c
         elif n + shift >= m:
-            tail = min_exponent(tail, c.norm_bound_exponent())
+            tail = min_exponent(tail, norm_bound_exponent(c))
     return MahlerSeries(prime=p, coefficients=tuple(out),
                         tail_bound_exponent=tail)
 
@@ -604,7 +604,7 @@ def oracle_defect(f):
 
 def oracle_sup_norm_exponent(f):
     return min_exponent(f.tail_bound_exponent,
-                        *(c.norm_bound_exponent() for c in f.coefficients))
+                        *(norm_bound_exponent(c) for c in f.coefficients))
 
 
 def series_outcome(fn, *args):

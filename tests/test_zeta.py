@@ -615,6 +615,104 @@ def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
     assert len(zeta._BERNOULLI) == size
 
 
+def _clear_zeta_caches():
+    zeta._point_plan.cache_clear()
+    zeta._kept_rows.cache_clear()
+
+
+def _measure_outcome(s, branch, regulator, level, precision):
+    try:
+        ev = zeta_measure(s, branch, regulator=regulator, level=level,
+                          precision=precision)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ev.value, ev.error_bound_exponent, ev
+
+
+def _cache_grid(rng):
+    """Points (s, branch, regulator, precision), each at shuffled levels,
+    with a fault in some: a pole, a short s, a bad regulator, level or
+    precision, an s that is not an int or a PadicNumber."""
+    points = []
+    for p, kappa0 in ((2, 0), (3, 0), (5, 0), (5, 2), (7, 2), (7, 4)):
+        branch = Branch(p, kappa0)
+        s_values = [1, 0, -1, -4, 2, 1 - kappa0 - (p - 1),
+                    PadicNumber.from_rational(1, 3, p, 4),
+                    PadicNumber.from_rational(1, 3, p, 40),
+                    PadicNumber.from_int(1, p, 30),
+                    PadicNumber.from_int(-1, p, 10),
+                    PadicNumber.zero(p), PadicNumber.zero(p, known_to=9),
+                    2.0]
+        for s in s_values:
+            for regulator in (None, rng.choice((-2, 5, 11, 13, 1))):
+                precision = rng.choice((None, 4, 8, 12, 20) * 4 + (0, 20.0))
+                points.append((s, branch, regulator, precision))
+    calls = []
+    for point in rng.sample(points, len(points)):
+        top = {2: 6, 3: 5}.get(point[1].prime, 3)
+        for level in rng.sample(range(1, top + 1), 3):
+            calls.append((*point[:3], level, point[3]))
+            if rng.random() < 0.4:
+                calls.append(rng.choice(calls[-8:]))
+    return calls
+
+
+def test_zeta_caches_change_no_outcome():
+    # every call, made with the caches as the calls before it left them,
+    # must give what it gives from empty caches: value, bound, or the
+    # exception with its message
+    calls = _cache_grid(random.Random(21))
+    _clear_zeta_caches()
+    warm = [_measure_outcome(*call) for call in calls]
+    assert zeta._point_plan.cache_info().hits > 50
+    assert zeta._kept_rows.cache_info().hits > 30
+    for call, got in zip(calls, warm):
+        _clear_zeta_caches()
+        assert got == _measure_outcome(*call), call
+    assert 100 < sum(len(got) == 2 for got in warm) < len(warm) - 100
+
+
+def test_zeta_point_plan_keeps_the_digits_of_s():
+    # equal values, different precision: the short s raises every time
+    branch = Branch(5, 2)
+    short = PadicNumber.from_int(-1, 5, 10)
+    long = PadicNumber.from_int(-1, 5, 40)
+    assert short.residue(10) == long.residue(10)
+    _clear_zeta_caches()
+    for _ in range(3):
+        ev = zeta_measure(long, branch, level=3, precision=10)
+        assert ev.error_bound_exponent == 3
+        # the padic_ladder workload retries on this error
+        with pytest.raises(PrecisionExhaustedError):
+            zeta_measure(short, branch, level=3, precision=10)
+    assert zeta._point_plan.cache_info().currsize == 1
+    # nor does a float precision share the entry of the equal int
+    cold = _measure_outcome(-1, branch, None, 3, 20.0)
+    zeta_measure(-1, branch, level=3, precision=20)
+    assert _measure_outcome(-1, branch, None, 3, 20.0) == cold
+
+
+def test_zeta_sweep_plans_each_point_once():
+    _clear_zeta_caches()
+    for level in range(3, 7):
+        zeta_measure(-5, Branch(7, 0), level=level, precision=20)
+    assert zeta._point_plan.cache_info()[:2] == (3, 1)
+    assert zeta._kept_rows.cache_info()[:2] == (3, 1)
+
+
+def test_zeta_caches_keep_no_large_table():
+    # e = 300 takes the class sums, whose power-sum table is O(e^2): it
+    # streams and no cache keeps it
+    _clear_zeta_caches()
+    tracemalloc.start()
+    try:
+        zeta_measure(-300, Branch(7, 2), level=6, precision=20)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 2**20, current
+
+
 # criterion 06's branches with their matched k, plus p = 2
 ORACLE_GRID = (
     (2, 0, (2, 4, 6)),
