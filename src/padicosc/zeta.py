@@ -286,8 +286,9 @@ def _power_sum_rows(e: int, mod: int):
 
 
 @lru_cache(maxsize=4)
-def _kept_rows(e: int, mod: int) -> tuple:
-    return tuple(_power_sum_rows(e, mod))
+def _kept_rows(e: int, mod: int) -> list:
+    # not tuple(): a resized tuple, once dropped, stays in a tuple free list
+    return list(_power_sum_rows(e, mod))
 
 
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
