@@ -229,18 +229,16 @@ def _mahler_series(p: int, samples: list, truncation: int,
     return MahlerSeries._from_rows(p, rows[:truncation], tail)
 
 
-def mahler_expand(samples: Sequence[PadicNumber], truncation: int | None = None) -> MahlerSeries:
+def mahler_expand(samples: Sequence[PadicNumber]) -> MahlerSeries:
     """Coefficients from forward differences: c_n = (Delta^n f)(0).
 
     Pure subtractions, so the coefficients are exact at sample precision.
-    Samples beyond the truncation form a window whose coefficient norms
-    give a heuristic tail bound (it estimates, not proves, the sup over
-    all dropped indices).
+    One coefficient per sample and no tail: the series is the polynomial
+    through the samples.
     """
     samples = list(samples)
     return _mahler_series(samples[0].prime if samples else None,
-                          [_row_of(s) for s in samples],
-                          len(samples) if truncation is None else truncation)
+                          [_row_of(s) for s in samples], len(samples))
 
 
 # -- van der Put basis -------------------------------------------------

@@ -22,8 +22,7 @@ bound its valuation sets, the exponent, and the kernel with its work.
 Only the bound, the kernel and its work read the level.  The rest, with
 the regulator and the pole checks, is the point plan, kept for the last
 4 keys (s, p, kappa0, r, precision), so the levels of one sweep plan
-their point once.  The class sums keep their power-sum rows for the last
-4 (e, p^digits) whose table fits in about 64 KB; a larger one streams.
+their point once.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 
 from .errors import DomainError, PoleError, PrecisionExhaustedError
 from .padics import (
@@ -274,23 +272,6 @@ def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-def _power_sum_rows(e: int, mod: int):
-    """C(e, i) and the row k! S(i, k), k = 0..i, mod `mod`, for i = 0..e."""
-    row, ce = [1], 1  # k! S(i, k) mod `mod`, k = 0..i, and C(e, i)
-    for i in range(e + 1):
-        yield ce % mod, row
-        prev = row + [0]  # k! S(i+1, k) = k (k! S(i, k) + (k-1)! S(i, k-1))
-        row = [0] + [k * (prev[k] + prev[k - 1]) % mod
-                     for k in range(1, i + 2)]
-        ce = ce * (e - i) // (i + 1)
-
-
-@lru_cache(maxsize=4)
-def _kept_rows(e: int, mod: int) -> list:
-    # not tuple(): a resized tuple, once dropped, stays in a tuple free list
-    return list(_power_sum_rows(e, mod))
-
-
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
                     level: int, digits: int) -> int:
     """_unit_sum for exponent e >= 0 by class sums, the same residue.
@@ -299,8 +280,10 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     = a q^-1 mod |r| in [1 - r, 0] (r > 0) or [1, |r|] (r < 0), so the
     measure is constant on each class a mod |r|.  Each progression of units
     a = A + D t, D = step |r|, t < n, of one class then needs only
-    sum (A + D t)^e = sum_i C(e, i) A^(e-i) D^i F_i(n), with the power sums
-    F_i(n) = sum_{t<n} t^i = sum_k k! S(i, k) C(n, k + 1) in integers.
+    sum (A + D t)^e = sum_i C(e, i) A^(e-i) D^i F_i(n).  The power sums
+    F_i(n) = sum_{t<n} t^i = sum_k k! S(i, k) C(n, k + 1) are (T^i b)_0, with
+    b_k = k! C(n, k + 1) and (T b)_k = k b_k + b_(k+1): the recurrence of
+    k! S(i, k) moved onto b, which loses one entry a step, so memory is O(e).
     """
     q, mod, order = p**level, p**digits, _torsion_order(p)
     rinv, slope, half = _disc_constants(regulator, q, mod)
@@ -312,26 +295,21 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
         stride, classes = _unit_classes(p, digits)
         runs = [(c, stride, (q - 1 - c) // stride + 1,
                  pow(w, (kappa0 - 1 - e) % order, mod)) for c, w in classes]
-    binoms = {}  # (n, step): C(n, k + 1) mod p^digits, k = 0..e
+    sums = {}  # (n, step): C(e, i) D^i F_i(n) mod p^digits, D = step |r|
     for _, step, count, _ in runs:
         n = c = count // size
-        if (n, step) in binoms:
+        if (n, step) in sums:
             continue
-        binom = binoms[n, step] = []
+        b, f, ce, d = [], 1, 1, 1  # b_k = k! C(n, k + 1) mod p^digits
         for k in range(e + 1):
-            binom.append(c % mod)
-            c = c * (n - k - 1) // (k + 2)
-    # sums[n, step][i] = C(e, i) D^i F_i(n) mod p^digits, D = step |r|; a
-    # table of rows up to about 64 KB is kept for the next call, a larger
-    # one is made a row at a time, so the memory stays O(e)
-    small = (e + 2) ** 2 * (256 + mod.bit_length()) <= 2**20
-    sums = {key: [] for key in binoms}
-    powers = dict.fromkeys(binoms, 1)  # D^i mod p^digits
-    for ce, row in (_kept_rows if small else _power_sum_rows)(e, mod):
-        for (n, step), binom in binoms.items():
-            d = powers[n, step]
-            sums[n, step].append(sum(map(mul, row, binom)) * ce * d % mod)
-            powers[n, step] = d * step * size % mod
+            b.append(c * f % mod)
+            c, f = c * (n - k - 1) // (k + 2), f * (k + 1) % mod
+        row = sums[n, step] = []
+        for i in range(e + 1):
+            row.append(ce * d * b[0] % mod)
+            for k in range(e - i):
+                b[k] = (k * b[k] + b[k + 1]) % mod
+            ce, d = ce * (e - i) // (i + 1), d * step * size % mod
     acc = 0
     for start, step, count, weight in runs:
         # count = n |r| + extra: the first `extra` sub-progressions hold
@@ -350,7 +328,7 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     return acc % mod
 
 
-@lru_cache(maxsize=4, typed=True)
+@lru_cache(maxsize=4)
 def _point_plan(s, p: int, kappa0: int, regulator: int | None,
                 n_req: int) -> tuple:
     """_plan's part that reads no level: (r, exponent, digits, v_den,
@@ -406,11 +384,15 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     the bound to level - v_den; work is the kernel's cost in Horner steps."""
     p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
+    n_req = DEFAULT_PRECISION if precision is None else precision
+    for name, v in (("regulator", 0 if regulator is None else regulator),
+                    ("level", level), ("precision", n_req)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError("%s must be an integer, got %r" % (name, v))
     if regulator is not None:
         _validate_regulator(regulator, p)
     if level < _q_digits(p):
         raise DomainError("level %d too small for p = %d" % (level, p))
-    n_req = DEFAULT_PRECISION if precision is None else precision
     if n_req < 1:
         raise DomainError("precision must be positive")
     _check_exponent(s, p, "s")

@@ -417,6 +417,16 @@ def test_prefactor_precision_error_names_s():
         "but s is known mod 5**10")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("precision", 20.0), ("level", 3.0), ("regulator", 2.0),
+    ("precision", True), ("level", True), ("level", None)])
+def test_zeta_measure_settings_must_be_ints(name, value):
+    # a float reached pow() as a bare TypeError, and True ran as 1
+    kwargs = {"level": 3, "precision": 8, name: value}
+    with pytest.raises(DomainError, match="^%s must be an integer" % name):
+        zeta_measure(-1, Branch(5, 2), **kwargs)
+
+
 def test_exponent_precision_error_names_s():
     # <33> = 1 mod 2**5, so the prefactor reads few digits of s, but its
     # valuation 6 lengthens the sum to 13 digits and the exponent -s is
@@ -471,6 +481,22 @@ def test_floor_sum_kernel_matches_residue_loop(p):
     for kappa0, e, r, level, digits in _kernel_cases(p):
         args = (p, kappa0, e, r, level, digits)
         assert _class_unit_sum(*args) == _unit_sum(*args), args
+
+
+def test_class_sums_match_residue_loop_at_larger_exponents():
+    # e = 25..200, past the e <= 24 of _kernel_cases: each draw runs the
+    # matched weight (the two runs of all units) and an unmatched one
+    rng = random.Random(22)
+    top = {2: 9, 3: 6, 5: 4, 7: 4, 13: 3}
+    for _ in range(150):
+        p = rng.choice(sorted(top))
+        order = 2 if p == 2 else p - 1
+        e, level, digits = (rng.randrange(25, 201), rng.randrange(1, top[p]),
+                            rng.randrange(1, 30))
+        r = rng.choice([x for x in range(-9, 30) if x % p and abs(x) > 1])
+        for kappa0 in ((1 + e) % order, (2 + e) % order):
+            args = (p, kappa0, e, r, level, digits)
+            assert _class_unit_sum(*args) == _unit_sum(*args), args
 
 
 def _wide_kernel_cases(p):
@@ -584,9 +610,10 @@ def test_negative_exponent_loop_matches_per_unit_pow(p, regulators):
 
 
 def test_class_sums_at_a_large_exponent(monkeypatch):
-    # e = 300 at p = 7, level 6 takes the class sums; their k! S(i, k) rows
-    # are reduced mod p^digits and made one at a time, so the peak stays
-    # O(e) small integers (kept whole and unreduced, about 9 MB here)
+    # e = 300 at p = 7, level 6 takes the class sums; their power sums come
+    # from one list of e + 1 residues mod p^digits and no table of k! S(i, k)
+    # rows, so the peak stays O(e) small integers (a whole table of
+    # unreduced rows took about 9 MB here)
     args = (7, 2, 300, 3, 6, 26)
     tracemalloc.start()
     try:
@@ -617,7 +644,6 @@ def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
 
 def _clear_zeta_caches():
     zeta._point_plan.cache_clear()
-    zeta._kept_rows.cache_clear()
 
 
 def _measure_outcome(s, branch, regulator, level, precision):
@@ -665,7 +691,6 @@ def test_zeta_caches_change_no_outcome():
     _clear_zeta_caches()
     warm = [_measure_outcome(*call) for call in calls]
     assert zeta._point_plan.cache_info().hits > 50
-    assert zeta._kept_rows.cache_info().hits > 30
     for call, got in zip(calls, warm):
         _clear_zeta_caches()
         assert got == _measure_outcome(*call), call
@@ -697,7 +722,6 @@ def test_zeta_sweep_plans_each_point_once():
     for level in range(3, 7):
         zeta_measure(-5, Branch(7, 0), level=level, precision=20)
     assert zeta._point_plan.cache_info()[:2] == (3, 1)
-    assert zeta._kept_rows.cache_info()[:2] == (3, 1)
 
 
 def test_zeta_caches_keep_no_large_table():
@@ -711,22 +735,6 @@ def test_zeta_caches_keep_no_large_table():
     finally:
         tracemalloc.stop()
     assert current < 2**20, current
-
-
-def test_dropped_power_sum_tables_are_freed():
-    # a table the row cache drops must go: one held as a tuple built from
-    # a generator stays in CPython's tuple free list, up to 2,000 a size
-    zeta._kept_rows.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for m in range(3000):
-            zeta._kept_rows(5 + m % 7, 7**20 + m)
-        zeta._kept_rows.cache_clear()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 2**16, grown
 
 
 # criterion 06's branches with their matched k, plus p = 2
@@ -747,6 +755,24 @@ ORACLE_PADIC_S = ((2, 0, 2, 3), (5, 2, 13, 7), (7, 4, 10, 3))
 def _assert_agree(by_hand, value, precision):
     d = by_hand - value
     assert d.is_zero and d.known_to >= precision
+
+
+def test_zeta_measure_remakes_a_deep_prefactor():
+    # r = 26 * 5^7 + 1: the prefactor r^2 - 1 has valuation 7, so the
+    # digits 8 + 7 + 4 = 19 pass the probe's 18 and the prefactor is made
+    # again; its unit 26 (26 * 5^7 + 2) needs more than the probe's 11
+    # digits (with r = 5^7 + 1 the probe's unit would be exact)
+    p, r, precision = 5, 26 * 5**7 + 1, 8
+    branch = Branch(p, 2)
+    plan = zeta._plan(-1, branch, r, 2, precision)
+    assert plan[2:4] == (19, 7)
+    for level in (2, 3):
+        integral = integrate_units(lambda a: PadicNumber.from_int(a, p, 40),
+                                   level, r, p, 40)
+        by_hand = integral / PadicNumber.from_int(r * r - 1, p, 40)
+        ev = zeta_measure(-1, branch, regulator=r, level=level,
+                          precision=precision)
+        _assert_agree(by_hand, ev.value, 12)
 
 
 def test_zeta_measure_via_public_integration():
