@@ -150,11 +150,15 @@ def mahler_basis_eval_int(n: int, x: int) -> int:
     return (-1) ** n * comb(n - x - 1, n)
 
 
-def _basis_values(x: PadicNumber, count: int):
-    """Yield P_n(x) for n < count as (valuation, unit, absprec), P_0 = 1
-    exact (absprec None) and nothing after it at the exact zero.  The
-    falling product mod p**absprec(x) and the unit part of n! carry from
-    n to n+1; dividing by n! costs v_p(n!) digits of absprec."""
+def _basis_values(x: PadicNumber, count: int) -> list:
+    """P_n(x) for n < count as a list of (valuation, unit, absprec): P_0 = 1
+    exact (absprec None), nothing after it at the exact zero, and no row
+    and no check of x when count < 1.  The falling product mod
+    p**absprec(x) carries from n to n+1; dividing by n! costs v_p(n!)
+    digits of absprec.  One modular inverse, of the unit part of (count-1)!,
+    gives the rest: inv_(n-1) = inv_n w_n, w_n the unit part of n."""
+    if count < 1:
+        return []
     p = x.prime
     if not x.is_zero and x.valuation < 0:
         raise DomainError("P_n is defined on Z_p")
@@ -164,21 +168,27 @@ def _basis_values(x: PadicNumber, count: int):
             "evaluating P_%d needs x mod %d**%d (v_p(%d!) + 1 digits), "
             "x is known mod %d**%d"
             % (top, p, vp_factorial(top, p) + 1, top, p, nx))
-    yield 0, 1, None
+    rows = [(0, 1, None)]
     if x.is_exact_zero or top < 1:
-        return
+        return rows
     mod, xres = p**nx, x.residue(nx)
     prod, fact_unit, v = 1, 1, 0        # v = v_p(n!)
     for n in range(1, count):
         k, w = _split(n, p)
         v += k
-        m = nx - v
         prod = prod * (xres - n + 1) % mod
         fact_unit = fact_unit * w % mod
         # the true product is divisible by p**v because binomials of
-        # p-adic integers are p-adic integers
-        c = prod // p**v * pow(fact_unit, -1, p**m) % p**m
-        yield (*_split(c, p), m) if c else (m, 0, m)
+        # p-adic integers are p-adic integers; the backward walk turns
+        # this placeholder into the row of P_n
+        rows.append((prod // p**v, w, nx - v))
+    inv = pow(fact_unit, -1, mod)
+    for n in range(top, 0, -1):
+        quotient, w, m = rows[n]
+        c = quotient * inv % p**m
+        rows[n] = (*_split(c, p), m) if c else (m, 0, m)
+        inv = inv * w % mod
+    return rows
 
 
 def _mahler_terms(f: MahlerSeries, x: Point) -> list:

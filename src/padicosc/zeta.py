@@ -81,6 +81,14 @@ def bernoulli(k: int) -> Fraction:
 # -- the measure --------------------------------------------------------
 
 
+def _require_ints(**settings) -> None:
+    """DomainError naming the first setting that is not an int: a float
+    reaches pow() or range() as a bare TypeError, and True runs as 1."""
+    for name, v in settings.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError("%s must be an integer, got %r" % (name, v))
+
+
 def _validate_regulator(regulator: int, p: int) -> None:
     # r = 1 regularizes nothing; r = -1 makes the prefactor denominator
     # <r>^(1-s) w(r)^kappa0 - 1 exactly 0 on every even branch
@@ -103,11 +111,12 @@ def measure_value(a: int, level: int, regulator: int, p: int,
     Closed form r floor(R a/q) - slope a + (r - 1)/2, with R = r^-1 mod q
     and slope = (r R - 1)/q from _disc_constants; (r - 1)/2 is exact here.
     """
+    n = DEFAULT_PRECISION if precision is None else precision
+    _require_ints(a=a, level=level, regulator=regulator, p=p, precision=n)
     _validate_regulator(regulator, p)
     q = p**level
     if not 0 <= a < q:
         raise DomainError("residue %r out of range for level %d" % (a, level))
-    n = DEFAULT_PRECISION if precision is None else precision
     rinv, slope, _ = _disc_constants(regulator, q, 1)
     num = 2 * (regulator * (rinv * a // q) - slope * a) + regulator - 1
     return PadicNumber.from_rational(num, 2, p, n)
@@ -121,6 +130,7 @@ class MazurMeasure(_Frozen):
     @classmethod
     def build(cls, p: int, regulator: int, level: int,
               precision: int | None = None) -> "MazurMeasure":
+        _require_ints(p=p, level=level)
         vals = tuple(measure_value(a, level, regulator, p, precision)
                      for a in range(p**level))
         return cls(prime=p, regulator=regulator, level=level, values=vals)
@@ -154,6 +164,7 @@ def integrate_units(g: Callable[[int], PadicNumber], level: int,
     to within the modulus of continuity of g across level-N discs; a
     caller who knows that exponent e caps the result with truncated_to(e).
     """
+    _require_ints(level=level, regulator=regulator, p=p)
     _validate_regulator(regulator, p)
     return sum((g(a) * measure_value(a, level, regulator, p, precision)
                 for a in range(1, p**level) if a % p), PadicNumber.zero(p))
@@ -385,10 +396,8 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
     n_req = DEFAULT_PRECISION if precision is None else precision
-    for name, v in (("regulator", 0 if regulator is None else regulator),
-                    ("level", level), ("precision", n_req)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise DomainError("%s must be an integer, got %r" % (name, v))
+    _require_ints(regulator=0 if regulator is None else regulator,
+                  level=level, precision=n_req)
     if regulator is not None:
         _validate_regulator(regulator, p)
     if level < _q_digits(p):

@@ -14,9 +14,12 @@ from padicosc.operators import (RULES, _apply_rule, apply_raising,
                                 commutator_defect, hamiltonian)
 from padicosc.padics import (DEFAULT_PRECISION, PadicNumber, n_minus, vp,
                              vp_factorial)
+from padicosc import series
 from padicosc.series import (
     MahlerSeries,
     VanDerPutSeries,
+    _basis_values,
+    _row_of,
     basis_vector,
     convert,
     convert_back,
@@ -533,6 +536,53 @@ def test_kernels_match_object_arithmetic_oracle():
     assert raised[PrecisionExhaustedError] > 40
     assert raised[DomainError] > 100
     assert raised["value"] > 1000
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_basis_values_match_per_index_inverse_oracle(p, monkeypatch):
+    # _basis_values inverts the unit part of (count-1)! once and walks
+    # back to every n; the oracle inverts the unit part of each n! on its
+    # own.  Windows up to 200 make the backward chain cross many n with
+    # p | n, at v_p((count-1)!) + 1 digits of x (the least that serves)
+    # and a few above.
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(series, "pow", counting_pow, raising=False)
+    rng = random.Random(2300 + p)
+    for count in (2, p + 1, p * p + 2, 200):
+        need = vp_factorial(count - 1, p) + 1
+        points = [PadicNumber.zero(p), PadicNumber.zero(p, known_to=need + 2)]
+        for extra in (0, 1, 4):
+            digits = need + extra
+            unit = rng.randrange(1, p**digits)
+            points += [PadicNumber.from_int(unit - unit % p + 1, p, digits),
+                       PadicNumber.from_int(p * unit, p, digits)]
+        # a unit below count: P_n(x) = 0 from n = x + 1 on
+        low = rng.choice([k for k in range(1, count) if k % p])
+        points.append(PadicNumber.from_int(low, p, need + 1))
+        for x in points:
+            del inverses[:]
+            rows = _basis_values(x, count)
+            if x.is_exact_zero:
+                assert rows == [(0, 1, None)] and not inverses
+                continue
+            assert len(inverses) == 1, (count, x)
+            # P_0 = 1 exact, where the oracle gives one() at its precision
+            assert rows == [(0, 1, None)] + [_row_of(oracle_basis_eval(n, x))
+                                             for n in range(1, count)], (count, x)
+        short = PadicNumber.from_int(1, p, need - 1)
+        with pytest.raises(PrecisionExhaustedError):
+            _basis_values(short, count)
+    # the empty window reads nothing of x, not even its valuation
+    outside = PadicNumber.from_rational(1, p, p, 4)
+    assert _basis_values(outside, 0) == []
+    with pytest.raises(DomainError):
+        _basis_values(outside, 1)
 
 
 def test_eval_at_far_integers_matches_comb():

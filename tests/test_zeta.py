@@ -427,6 +427,24 @@ def test_zeta_measure_settings_must_be_ints(name, value):
         zeta_measure(-1, Branch(5, 2), **kwargs)
 
 
+def _unit_value(a):
+    return PadicNumber.from_int(a, 5, 8)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("regulator", lambda: measure_value(1, 2, 2.0, 5)),
+    ("regulator", lambda: integrate_units(_unit_value, 2, 2.0, 5)),
+    ("regulator", lambda: total_mass(2.0, 5)),
+    ("level", lambda: MazurMeasure.build(5, 2, 1.0)),
+    ("precision", lambda: measure_value(1, 2, 2, 5, precision=3.0)),
+    ("level", lambda: measure_value(1, True, 2, 5)),
+    ("a", lambda: measure_value(True, 2, 2, 5))])
+def test_measure_settings_must_be_ints(name, call):
+    # as for zeta_measure: a float raised a bare TypeError, True ran as 1
+    with pytest.raises(DomainError, match="^%s must be an integer" % name):
+        call()
+
+
 def test_exponent_precision_error_names_s():
     # <33> = 1 mod 2**5, so the prefactor reads few digits of s, but its
     # valuation 6 lengthens the sum to 13 digits and the exponent -s is
