@@ -8,21 +8,21 @@ the units mod q = p^N against the regularized Bernoulli measure
 E_{1,r}(a) = B1(a/q) - r B1((r^-1 a mod q)/q) (Washington, Cyclotomic
 Fields, Ch. 12), then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
-The unit sum runs over plain integers mod p^digits.  Its two kernels give
+The unit sum runs over plain integers mod p^N.  Its two kernels give
 the same residue.  Class sums serve an exponent e = -s that is a small
 integer >= 0: E_{1,r} is constant on each class mod |r|, so the units
 split into progressions whose e-th power sums have a closed form, about
 (e+1) |r| work per unit class.  The residue loop, one term per unit, serves
 the rest (s > 0, generic p-adic s, low N).
 
-zeta_measure plans, then runs.  The plan fixes in plain integers, before
-any sum: the prefactor mod p^N (w(r), <r> = r w(r)^(phi(q)-1), <r>^(1-s)
-and w(r)^kappa0, each one modular pow), the working digits and the error
-bound its valuation sets, the exponent, and the kernel with its work.
-Only the bound, the kernel and its work read the level.  The rest, with
-the regulator and the pole checks, is the point plan, kept for the last
-4 keys (s, p, kappa0, r, precision), so the levels of one sweep plan
-their point once.
+One precision rule: the Riemann sum is certified mod p^N, so the sum
+runs mod p^N and the value, divided by the prefactor of valuation v_den,
+is cut at p^(N - v_den).  The plan fixes in plain integers, before any
+sum, the regulator, v_den in closed form, the exponent -s mod p^(N -
+v_p(q)) and the kernel.  What reads no level is the point plan, kept
+for the last 4 keys (s, p, kappa0, r), so the levels of one sweep plan
+their point once.  The prefactor mod p^(N + v_den) is modular pows of
+w(r) and <r> = r w(r)^(phi(q)-1).
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ def _validate_regulator(regulator: int, p: int) -> None:
         raise DomainError("invalid regulator %r for p = %d" % (regulator, p))
 
 
+def _check_measure(level: int, regulator: int, p: int, **more) -> None:
+    """Ints, a regulator that regularizes, and level >= 0."""
+    _require_ints(**more, level=level, regulator=regulator, p=p)
+    _validate_regulator(regulator, p)
+    if level < 0:
+        raise DomainError("level must be >= 0, got %d" % level)
+
+
 def _disc_constants(regulator: int, q: int, mod: int):
     """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
     rinv = pow(regulator, -1, q)
@@ -112,8 +120,7 @@ def measure_value(a: int, level: int, regulator: int, p: int,
     and slope = (r R - 1)/q from _disc_constants; (r - 1)/2 is exact here.
     """
     n = DEFAULT_PRECISION if precision is None else precision
-    _require_ints(a=a, level=level, regulator=regulator, p=p, precision=n)
-    _validate_regulator(regulator, p)
+    _check_measure(level, regulator, p, a=a, precision=n)
     q = p**level
     if not 0 <= a < q:
         raise DomainError("residue %r out of range for level %d" % (a, level))
@@ -130,7 +137,7 @@ class MazurMeasure(_Frozen):
     @classmethod
     def build(cls, p: int, regulator: int, level: int,
               precision: int | None = None) -> "MazurMeasure":
-        _require_ints(p=p, level=level)
+        _check_measure(level, regulator, p)
         vals = tuple(measure_value(a, level, regulator, p, precision)
                      for a in range(p**level))
         return cls(prime=p, regulator=regulator, level=level, values=vals)
@@ -164,8 +171,7 @@ def integrate_units(g: Callable[[int], PadicNumber], level: int,
     to within the modulus of continuity of g across level-N discs; a
     caller who knows that exponent e caps the result with truncated_to(e).
     """
-    _require_ints(level=level, regulator=regulator, p=p)
-    _validate_regulator(regulator, p)
+    _check_measure(level, regulator, p)
     return sum((g(a) * measure_value(a, level, regulator, p, precision)
                 for a in range(1, p**level) if a % p), PadicNumber.zero(p))
 
@@ -228,17 +234,15 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
     mod = p**digits
     w = _teichmuller_residue(p, regulator % p**_q_digits(p), digits)
     angle = regulator * pow(w, _torsion_order(p) - 1, mod) % mod
-    exponent = 1 - s
-    if isinstance(s, PadicNumber) and angle == 1:
-        exponent = 0  # <r> = 1 mod p^digits, so is every power of it
-    elif isinstance(s, PadicNumber):
+    # at <r> = 1 mod p^digits every power of <r> is 1 too
+    exponent = 1 - s if isinstance(s, int) else 0
+    if isinstance(s, PadicNumber) and angle != 1:
         need = max(digits - vp(angle - 1, p), 1)
-        if exponent.abs_precision < need:
+        if not s.is_exact_zero and s.abs_precision < need:
             raise PrecisionExhaustedError(
                 "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod %d**%d, "
-                "but s is known mod %d**%d"
-                % (p, need, p, exponent.abs_precision))
-        exponent = exponent.residue(need)
+                "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
+        exponent = (1 - s.residue(need)) % p**need
     return PadicNumber._make(
         p, 0, pow(angle, exponent, mod) * pow(w, kappa0, mod) - 1, digits)
 
@@ -340,59 +344,42 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
 
 
 @lru_cache(maxsize=4)
-def _point_plan(s, p: int, kappa0: int, regulator: int | None,
-                n_req: int) -> tuple:
-    """_plan's part that reads no level: (r, exponent, digits, v_den,
-    den_unit, den_digits).  A raise is not cached: it comes every call."""
+def _point_plan(s, p: int, kappa0: int, regulator: int | None) -> tuple:
+    """_plan's part that reads no level: (r, v_den), v_den the valuation of
+    <r>^(1-s) w(r)^kappa0 - 1 on an even branch.  It is 0 unless
+    w(r)^kappa0 = 1 mod p; then w(r)^kappa0 = 1 and it is v(<r> - 1) +
+    v(1 - s) (Washington, Ch. 5), with v(<r> - 1) = v(r^phi(q) - 1) -
+    v(phi(q)) on integers.  A raise is not cached: it comes every call."""
     r = default_regulator(p) if regulator is None else regulator
-    torsion_trivial = pow(r % p, kappa0, p) == 1
-    x = s  # the point computed with; the report keeps s as given
-    if isinstance(s, PadicNumber):
-        if s.is_exact_zero:
-            x = 0  # s - 1 would have unbounded precision
-        else:
-            diff = s - 1
-            if torsion_trivial and diff.is_zero:
-                raise PrecisionExhaustedError(
-                    "s is indistinguishable from the pole at 1 "
-                    "(difference known to vanish mod %d**%s)"
-                    % (p, diff.known_to))
-    if torsion_trivial and isinstance(x, int) and x == 1:
-        raise PoleError(
-            "pole/indeterminate at this branch point: s = 1 with "
-            "w(r)^kappa0 = 1")
-
-    probe = n_req + 10
-    den = _prefactor_denominator(x, kappa0, r, p, probe)
-    if den.is_zero:
-        raise PrecisionExhaustedError(
-            "prefactor denominator vanishes to p^-%s; "
-            "raise the precision budget" % (den.known_to,))
-    v_den = den.valuation
-    digits = n_req + v_den + 4
-    if digits > probe:
-        den = _prefactor_denominator(x, kappa0, r, p, digits)
-
-    if isinstance(x, int):
-        return r, -x, digits, v_den, den.unit, max(digits, probe)
-    # <a> has order dividing p^(digits-1) (2^(digits-2) when p = 2)
-    # mod p^digits, so -s is needed only modulo that order
-    need = digits - _q_digits(p)
-    if x.abs_precision < need:
-        raise PrecisionExhaustedError(
-            "the exponent of <a>^(-s) needs s mod %d**%d, "
-            "but s is known mod %d**%d" % (p, need, p, x.abs_precision))
-    return (r, (-x).residue(need), digits, v_den, den.unit,
-            max(digits, probe))
+    if pow(r % p, kappa0, p) != 1:
+        return r, 0
+    if isinstance(s, int):
+        if s == 1:
+            raise PoleError(
+                "pole/indeterminate at this branch point: s = 1 with "
+                "w(r)^kappa0 = 1")
+        v_s = vp(1 - s, p)
+    elif s.is_exact_zero:
+        v_s = 0
+    else:
+        diff = s - 1
+        if diff.is_zero:
+            raise PrecisionExhaustedError(
+                "s is indistinguishable from the pole at 1 "
+                "(difference known to vanish mod %d**%s)"
+                % (p, diff.known_to))
+        v_s = diff.valuation
+    order = _torsion_order(p)
+    return r, vp(r**order - 1, p) - vp(order, p) + v_s
 
 
 def _plan(s, branch: Branch, regulator: int | None, level: int,
           precision: int | None) -> tuple:
     """Validate, then fix in plain ints before any sum: (regulator, exponent,
-    digits, v_den, den_unit, den_digits, error_bound_exponent, class_sums,
-    work).  The prefactor is den_unit p^v_den mod p^den_digits; v_den, read
-    at a probe of n_req + 10 digits, adds to the digits of the sum and cuts
-    the bound to level - v_den; work is the kernel's cost in Horner steps."""
+    v_den, error_bound_exponent, class_sums, work).  <a> has order dividing
+    p^(level - v_p(q)) mod p^level, so the exponent is -s mod that order;
+    the bound is level - v_den, capped at precision; work is the kernel's
+    cost in Horner steps."""
     p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
     n_req = DEFAULT_PRECISION if precision is None else precision
@@ -405,8 +392,15 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     if n_req < 1:
         raise DomainError("precision must be positive")
     _check_exponent(s, p, "s")
-    r, exponent, digits, v_den, den_unit, den_digits = _point_plan(
-        s, p, kappa0, regulator, n_req)
+    r, v_den = _point_plan(s, p, kappa0, regulator)
+    exponent = -s
+    if isinstance(s, PadicNumber):
+        need = level - _q_digits(p)
+        if not s.is_exact_zero and s.abs_precision < need:
+            raise PrecisionExhaustedError(
+                "the exponent of <a>^(-s) needs s mod %d**%d, "
+                "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
+        exponent = exponent.residue(need)
     # work in Horner steps, fitted to timings of both kernels (p <= 13,
     # e <= 24) near their crossover: the class sums take e + 1 per
     # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
@@ -418,8 +412,8 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     work = (subs + exponent + 1) * (exponent + 1) + 40
     loop = 7 * units + 10 * order  # twice the loop's work
     class_sums = 0 <= exponent < units and 2 * work < loop
-    return (r, exponent, digits, v_den, den_unit, den_digits, level - v_den,
-            class_sums, work if class_sums else loop // 2)
+    return (r, exponent, v_den, min(level - v_den, n_req), class_sums,
+            work if class_sums else loop // 2)
 
 
 def zeta_measure(s, branch: Branch, regulator: int | None = None,
@@ -427,15 +421,18 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
                  precision: int | None = None) -> ZetaBranchEval:
     """Riemann-sum evaluation of the branch zeta function at s in Z_p.
 
-    The run step of _plan: one kernel call, one _make and one division.
-    The error bound is level minus the prefactor's valuation.
+    The run step of _plan: the prefactor mod p^(level + v_den), one kernel
+    call mod p^level and one division, whose quotient is known to
+    p^(level - v_den).  The value is cut at error_bound_exponent, that
+    exponent or precision if lower, so it carries no uncertified digit.
     """
     p, kappa0 = branch.prime, branch.kappa0
-    (r, exponent, digits, v_den, den_unit, den_digits, bound, class_sums,
-     _) = _plan(s, branch, regulator, level, precision)
+    r, exponent, v_den, bound, class_sums, _ = _plan(
+        s, branch, regulator, level, precision)
+    den = _prefactor_denominator(s, kappa0, r, p, level + v_den)
     kernel = _class_unit_sum if class_sums else _unit_sum
     integral = PadicNumber._make(
-        p, 0, kernel(p, kappa0, exponent, r, level, digits), digits)
-    den = PadicNumber(p, v_den, den_unit, den_digits - v_den)
-    return ZetaBranchEval(p, kappa0, s, r, level, integral / den, bound,
+        p, 0, kernel(p, kappa0, exponent, r, level, level), level)
+    return ZetaBranchEval(p, kappa0, s, r, level,
+                          (integral / den).truncated_to(bound), bound,
                           "measure")

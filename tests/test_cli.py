@@ -226,10 +226,22 @@ def test_exit_table_resolves_each_class_to_its_row(capsys, monkeypatch):
         assert (rc, out, err) == (status, "", "%s: boom\n" % label), cls
 
 
-def test_precision_exhaustion_exit_2(capsys):
-    rc, _, err = run(capsys, "--p", "3", "--precision", "4",
-                     "zeta-measure", str(2 * 3**13))
-    assert rc == 2 and err.startswith("precision exhausted")
+def test_precision_exhaustion_exit_2(capsys, monkeypatch):
+    # no argv exhausts precision now that zeta-measure sums mod p^level
+    # (--p 3 --precision 4 zeta-measure 3188646 certifies its value), so
+    # zeta-measure gets s as a p-adic number of one digit: the exponent of
+    # <a>^(-s) at level 5 needs four, and the library's own error reaches
+    # the exit table
+    def one_digit_s(s, branch, **kwargs):
+        short = PadicNumber.from_int(s, branch.prime, 1)
+        return cli_zeta_measure(short, branch, **kwargs)
+
+    cli_zeta_measure = cli.zeta_measure
+    monkeypatch.setattr(cli, "zeta_measure", one_digit_s)
+    rc, _, err = run(capsys, "--p", "3", "zeta-measure", "2")
+    assert rc == 2 and err == (
+        "precision exhausted: the exponent of <a>^(-s) needs s mod 3**4, "
+        "but s is known mod 3**1\n")
 
 
 def test_regulator_plus_minus_one_exit_1(capsys):

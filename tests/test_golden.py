@@ -40,6 +40,7 @@ COMMANDS = (
     "--p 7 --kappa0 2 --precision 20 zeta-measure 8 --levels 3..5",
     "--p 2 --precision 20 zeta-measure 4 --levels 2..8",
     "--p 3 --regulator 5 zeta-measure 6 --levels 1..4",
+    "--p 3 --precision 4 zeta-measure 3188646",
     "apply raising {series}",
     "apply lowering {series}",
     "apply hamiltonian {series}",

@@ -151,6 +151,11 @@ def test_measure_rejects_bad_input():
         measure_value(0, 1, 10, 5)         # r divisible by p
     with pytest.raises(DomainError):
         measure_value(25, 2, 2, 5)         # residue out of range
+    for call in (lambda: measure_value(0, -1, 2, 5),  # p^level a float
+                 lambda: MazurMeasure.build(5, 2, -1),
+                 lambda: integrate_units(_unit_value, -1, 2, 5)):
+        with pytest.raises(DomainError, match="^level must be >= 0"):
+            call()
 
 
 def test_measure_distribution_property():
@@ -361,10 +366,27 @@ def test_zeta_measure_near_pole_marker_exhausts():
 
 
 def test_zeta_measure_denominator_consumes_budget():
-    # k = 2 * 3^13: <r>^k - 1 vanishes to 14 digits, beyond budget 4 + 10
+    # k = 2 * 3^13: <r>^k - 1 vanishes to 14 digits, so the sum mod 3^3
+    # certifies the value to 3^(3 - 14), and it carries no digit past that
     k = 2 * 3**13
-    with pytest.raises(PrecisionExhaustedError):
-        zeta_measure(1 - k, Branch(3, 0), level=3, precision=4)
+    ev = zeta_measure(1 - k, Branch(3, 0), level=3, precision=4)
+    assert ev.error_bound_exponent == ev.value.abs_precision == 3 - 14
+
+
+def test_zeta_measure_deep_prefactor_obeys_kummer():
+    # --p 3 --precision 4 zeta-measure 3188646, k = 2 * 3^13: the value times
+    # <2>^k - 1 is the Riemann sum, certified mod 3^5, and it depends on k
+    # only mod phi(3^5) = 2 * 3^4, so it agrees there with k = 162
+    # (Kummer), where zeta_interp gives the value exactly
+    branch, k = Branch(3, 0), 2 * 3**13
+    ev = zeta_measure(1 - k, branch, level=5, precision=4)
+    assert ev.error_bound_exponent == 5 - 14
+    x = PadicNumber.from_int(2, 3, 40)
+    angle = x / teichmuller(x)
+    lhs = ev.value * (unit_power(angle, k) - 1)
+    rhs = zeta_interp(162, branch, 40) * (unit_power(angle, 162) - 1)
+    d = lhs - rhs
+    assert d.is_zero and d.known_to >= 5, d
 
 
 def _padic_prefactor(s, kappa0, r, p, digits):
@@ -407,14 +429,67 @@ def test_integer_prefactor_matches_padic_formula():
 
 
 def test_prefactor_precision_error_names_s():
-    # the prefactor reads s mod 5**(20 - v(<2> - 1)) at the probe of
-    # precision + 10 digits, and this s has 10
-    s = PadicNumber.from_int(-1, 5, 10)
+    # w(2)^0 = 1, so v_den = v(<2> - 1) + v(1 - s) = 1 and the prefactor is
+    # made mod 5**(3 + 1); it reads s mod 5**(4 - v(<2> - 1)), and this s
+    # has 2 digits, enough for the exponent mod 5**2
+    s = PadicNumber.from_int(-1, 5, 2)
     with pytest.raises(PrecisionExhaustedError) as info:
-        zeta_measure(s, Branch(5, 2), level=3, precision=10)
+        zeta_measure(s, Branch(5, 0), level=3, precision=10)
     assert str(info.value) == (
-        "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod 5**19, "
-        "but s is known mod 5**10")
+        "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod 5**3, "
+        "but s is known mod 5**2")
+
+
+def test_point_plan_valuation_matches_the_prefactor():
+    # v_den in closed form against the valuation of the prefactor itself,
+    # made with 30 digits past it from an s that carries 80, on the even
+    # branches zeta serves
+    rng = random.Random(26)
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        r = rng.choice([r for r in range(-40, 41) if r % p and abs(r) > 1])
+        kappa0 = rng.randrange(0, 2 if p == 2 else p - 1, 2)
+        if rng.randrange(2):
+            s = rng.choice([s for s in range(-60, 61) if s != 1])
+        else:
+            v = rng.randrange(3)
+            s = PadicNumber._make(p, v, rng.randrange(1, p**80), 80 - v)
+        _, v_den = zeta._point_plan(s, p, kappa0, r)
+        den = zeta._prefactor_denominator(s, kappa0, r, p, v_den + 30)
+        assert not den.is_zero and den.valuation == v_den, (s, p, r, kappa0)
+
+
+def _lift(rng, x):
+    """x with 1-8 random digits appended past its absolute precision."""
+    p, n = x.prime, x.abs_precision
+    extra = rng.randrange(1, 9)
+    return PadicNumber._make(
+        p, 0, x.residue(n) + p**n * rng.randrange(p**extra), n + extra)
+
+
+def test_zeta_measure_values_survive_lifts_of_s():
+    # the exactness contract: lifts of s that agree with it to its
+    # absolute precision give values that agree with its value to every
+    # digit the value carries, and it carries error_bound_exponent
+    rng = random.Random(26)
+    for _ in range(50):
+        p = rng.choice((2, 3, 5, 7))
+        branch = Branch(p, rng.randrange(0, 2 if p == 2 else p - 1, 2))
+        level = rng.randrange(2, 6)
+        regulator = rng.choice([None] + [r for r in (-3, -2, 2, 3, 6, 10, 11)
+                                         if r % p])
+        precision = rng.choice((None, 3, 8, 20))
+        n, v = rng.randrange(12, 25), rng.randrange(4)
+        s = PadicNumber._make(p, v, rng.randrange(1, p**n), n - v)
+        ev = zeta_measure(s, branch, regulator, level, precision)
+        assert ev.value.abs_precision == ev.error_bound_exponent, ev
+        for _ in range(3):
+            lifted = zeta_measure(_lift(rng, s), branch, regulator, level,
+                                  precision)
+            assert lifted.error_bound_exponent == ev.error_bound_exponent
+            d = lifted.value - ev.value
+            assert d.is_zero and d.known_to >= ev.error_bound_exponent, (
+                s, branch, regulator, level, precision)
 
 
 @pytest.mark.parametrize("name,value", [
@@ -446,15 +521,14 @@ def test_measure_settings_must_be_ints(name, call):
 
 
 def test_exponent_precision_error_names_s():
-    # <33> = 1 mod 2**5, so the prefactor reads few digits of s, but its
-    # valuation 6 lengthens the sum to 13 digits and the exponent -s is
-    # needed mod 2**11
-    s = PadicNumber._make(2, 0, 419, 9)
+    # the sum runs mod 2**5, where <a> has order 2**3, so the exponent -s
+    # is needed mod 2**3; s = 3 mod 4 is known apart from the pole at 1
+    s = PadicNumber._make(2, 0, 419, 2)
     with pytest.raises(PrecisionExhaustedError) as info:
-        zeta_measure(s, Branch(2, 0), regulator=33, level=3, precision=3)
+        zeta_measure(s, Branch(2, 0), regulator=33, level=5, precision=3)
     assert str(info.value) == (
-        "the exponent of <a>^(-s) needs s mod 2**11, "
-        "but s is known mod 2**9")
+        "the exponent of <a>^(-s) needs s mod 2**3, "
+        "but s is known mod 2**2")
 
 
 @pytest.mark.parametrize("p,kappa0,k,level", [
@@ -570,10 +644,11 @@ def test_zeta_measure_kernel_routing(monkeypatch):
                 zeta_measure(1 - k, Branch(p, kappa0), level=level,
                              precision=20)
                 assert calls == ["_class_unit_sum"], (p, kappa0, k)
-    # a negative exponent (s = 2) and a p-adic one take the loop
+    # a negative exponent (s = 2) and a p-adic one, -1/3 = 83 mod 5^3, take
+    # the loop
     for s in (2, PadicNumber.from_rational(1, 3, 5, 20)):
         calls.clear()
-        zeta_measure(s, Branch(5, 2), level=3, precision=10)
+        zeta_measure(s, Branch(5, 2), level=4, precision=10)
         assert calls == ["_unit_sum"], s
 
 
@@ -585,11 +660,11 @@ def test_plan_runs_no_kernel(monkeypatch):
 
     monkeypatch.setattr(zeta, "_class_unit_sum", refuse)
     monkeypatch.setattr(zeta, "_unit_sum", refuse)
-    (r, exponent, digits, v_den, den_unit, den_digits, bound, class_sums,
-     work) = zeta._plan(2, Branch(7, 2), None, 30, 32)
+    r, exponent, v_den, bound, class_sums, work = zeta._plan(
+        2, Branch(7, 2), None, 30, 32)
     assert (r, exponent, class_sums) == (3, -2, False)
-    assert digits == 32 + v_den + 4 and bound == 30 - v_den
-    assert den_unit % 7 and den_digits >= digits
+    # w(3)^2 = 2 mod 7: the prefactor is a unit, and the bound the level
+    assert v_den == 0 and bound == 30
     assert work > 7**29
 
 
@@ -716,20 +791,22 @@ def test_zeta_caches_change_no_outcome():
 
 
 def test_zeta_point_plan_keeps_the_digits_of_s():
-    # equal values, different precision: the short s raises every time
-    branch = Branch(5, 2)
-    short = PadicNumber.from_int(-1, 5, 10)
-    long = PadicNumber.from_int(-1, 5, 40)
-    assert short.residue(10) == long.residue(10)
+    # equal values, different precision: the short s raises every time.
+    # The point plan reads v(1 - s): 3 for the long s, while the short one
+    # is 1 + O(5^3), indistinguishable from the pole
+    branch = Branch(5, 0)
+    short = PadicNumber.from_int(1 + 5**3, 5, 3)
+    long = PadicNumber.from_int(1 + 5**3, 5, 40)
+    assert short.residue(3) == long.residue(3)
     _clear_zeta_caches()
     for _ in range(3):
         ev = zeta_measure(long, branch, level=3, precision=10)
-        assert ev.error_bound_exponent == 3
-        # the padic_ladder workload retries on this error
+        # v_den = v(<2> - 1) + v(1 - s) = 1 + 3
+        assert ev.error_bound_exponent == 3 - 4
         with pytest.raises(PrecisionExhaustedError):
             zeta_measure(short, branch, level=3, precision=10)
     assert zeta._point_plan.cache_info().currsize == 1
-    # nor does a float precision share the entry of the equal int
+    # nor does a float precision reach the entry of the equal int
     cold = _measure_outcome(-1, branch, None, 3, 20.0)
     zeta_measure(-1, branch, level=3, precision=20)
     assert _measure_outcome(-1, branch, None, 3, 20.0) == cold
@@ -776,21 +853,20 @@ def _assert_agree(by_hand, value, precision):
 
 
 def test_zeta_measure_remakes_a_deep_prefactor():
-    # r = 26 * 5^7 + 1: the prefactor r^2 - 1 has valuation 7, so the
-    # digits 8 + 7 + 4 = 19 pass the probe's 18 and the prefactor is made
-    # again; its unit 26 (26 * 5^7 + 2) needs more than the probe's 11
-    # digits (with r = 5^7 + 1 the probe's unit would be exact)
+    # r = 26 * 5^7 + 1: the prefactor r^2 - 1 has valuation 7 in closed
+    # form, so it is made mod 5^(level + 7); its unit 26 (26 * 5^7 + 2)
+    # then has all level digits (with r = 5^7 + 1 the unit would be exact)
     p, r, precision = 5, 26 * 5**7 + 1, 8
     branch = Branch(p, 2)
     plan = zeta._plan(-1, branch, r, 2, precision)
-    assert plan[2:4] == (19, 7)
+    assert plan[2:4] == (7, 2 - 7)
     for level in (2, 3):
         integral = integrate_units(lambda a: PadicNumber.from_int(a, p, 40),
                                    level, r, p, 40)
         by_hand = integral / PadicNumber.from_int(r * r - 1, p, 40)
         ev = zeta_measure(-1, branch, regulator=r, level=level,
                           precision=precision)
-        _assert_agree(by_hand, ev.value, 12)
+        _assert_agree(by_hand, ev.value, ev.error_bound_exponent)
 
 
 def test_zeta_measure_via_public_integration():
@@ -809,7 +885,8 @@ def test_zeta_measure_via_public_integration():
                     by_hand = integral / PadicNumber.from_int(r**k - 1, p, digits)
                     ev = zeta_measure(1 - k, branch, regulator=r, level=level,
                                       precision=precision)
-                    _assert_agree(by_hand, ev.value, precision)
+                    _assert_agree(by_hand, ev.value,
+                                  ev.error_bound_exponent)
     # a p-adic s, then the residue loop at negative exponents (s = 2, 3)
     for p, kappa0, num, den in ORACLE_PADIC_S:
         branch = Branch(p, kappa0)
@@ -831,7 +908,8 @@ def test_zeta_measure_via_public_integration():
                     integral = integrate_units(g, level, r, p, digits)
                     ev = zeta_measure(s, branch, regulator=r, level=level,
                                       precision=precision)
-                    _assert_agree(integral / prefactor, ev.value, precision)
+                    _assert_agree(integral / prefactor, ev.value,
+                                  ev.error_bound_exponent)
 
 
 def test_zeta_measure_gates():
