@@ -68,56 +68,7 @@ from .zeta import (
     zeta_measure,
 )
 
-__all__ = [
-    "ConfigError",
-    "DomainError",
-    "InputFormatError",
-    "PadicError",
-    "PoleError",
-    "PrecisionExhaustedError",
-    "DEFAULT_PRECISION",
-    "PadicNumber",
-    "angle",
-    "hensel_digits",
-    "n_minus",
-    "teichmuller",
-    "unit_power",
-    "vp",
-    "vp_factorial",
-    "MahlerSeries",
-    "VanDerPutSeries",
-    "basis_vector",
-    "convert",
-    "convert_back",
-    "mahler_eval",
-    "mahler_expand",
-    "sup_norm",
-    "sup_norm_exponent",
-    "vdp_eval",
-    "vdp_expand",
-    "OperatorMatrix",
-    "apply_lowering",
-    "apply_raising",
-    "as_matrix",
-    "commutator_defect",
-    "hamiltonian",
-    "kernel_solve",
-    "matrices_agree",
-    "Branch",
-    "GaloisElement",
-    "GroundState",
-    "fixed_generator",
-    "orbit",
-    "rho_apply",
-    "rho_prime_apply",
-    "t_of",
-    "MazurMeasure",
-    "ZetaBranchEval",
-    "bernoulli",
-    "default_regulator",
-    "integrate_units",
-    "measure_value",
-    "total_mass",
-    "zeta_interp",
-    "zeta_measure",
-]
+from types import ModuleType as _ModuleType
+# the public names above, without the submodules that importing them binds
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

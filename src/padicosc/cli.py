@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 # name -> (default, help, minimum, choices); see RunConfig
 SETTINGS = {
     "p": (5, "the prime", None, None),
-    "precision": (32, "significant base-p digits (>= 4)", 4, None),
+    "precision": (32, "digits carried (>= 4); zeta-measure: absolute cap", 4, None),
     "m": (8, "series truncation window M (>= 4)", 4, None),
     "kappa0": (0, "branch index, 0 <= kappa0 <= p-2", 0, None),
     "level": (5, "disc level N for measure sums", 1, None),

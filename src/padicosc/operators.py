@@ -27,7 +27,7 @@ DomainError for any other matrix.
 from __future__ import annotations
 
 from .errors import DomainError, PrecisionExhaustedError
-from .padics import PadicNumber, _Frozen, _row_sum, _split
+from .padics import PadicNumber, _Frozen, _require_prime, _row_sum, _split
 from .series import MahlerSeries, _min_exponent, _negated, basis_vector
 
 # operator name -> (shift, weight): P_n goes to weight(n) P_{n+shift}
@@ -139,6 +139,7 @@ def as_matrix(op: str, dimension: int, p: int,
         raise DomainError("unknown operator %r" % op)
     if dimension < 1:
         raise DomainError("matrix dimension M = %d, need M >= 1" % dimension)
+    _require_prime(p)
     shift, weight = RULES[op]
     entries = {(n + shift, n): PadicNumber.from_int(weight(n), p, precision)
                for n in range(dimension) if 0 <= n + shift < dimension}

@@ -46,6 +46,7 @@ def _split(n: int, p: int) -> tuple:
 
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    _require_prime(p)
     return _split(n, p)[0]
 
 
@@ -86,10 +87,18 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
+@lru_cache(maxsize=None)
+def _require_prime(p: int) -> None:
+    """DomainError naming p unless it is prime: _split hangs at p = +-1."""
+    if not is_prime(p):
+        raise DomainError("p must be a prime, got %r" % (p,))
+
+
 def hensel_digits(n: int, p: int) -> tuple:
     """Little-endian base-p digits of n >= 0; the empty tuple for 0."""
     if n < 0:
         raise DomainError("hensel_digits needs n >= 0")
+    _require_prime(p)
     ds = []
     while n:
         ds.append(n % p)
@@ -191,6 +200,7 @@ class PadicNumber(_Frozen):
 
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
+        _require_prime(p)
         return cls._make(p, 0, 1, precision)
 
     @classmethod
@@ -221,6 +231,7 @@ class PadicNumber(_Frozen):
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
+        _require_prime(p)
         if n == 0:
             return cls.zero(p)
         v, u = _split(n, p)
@@ -231,6 +242,7 @@ class PadicNumber(_Frozen):
                       precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         if den == 0:
             raise DomainError("zero denominator")
+        _require_prime(p)
         if num == 0:
             return cls.zero(p)
         vn, nu = _split(num, p)
@@ -451,13 +463,18 @@ def _row_sum(p: int, terms):
         total += u * p ** (v - vmin)
         if n < absprec:
             absprec = n
+    return _row(p, vmin, total, absprec)
+
+
+def _row(p: int, v: int, total: int, absprec) -> tuple | None:
+    """_row_sum's row of total * p**v known mod p**absprec (inf: exact)."""
     if absprec == inf:
         return None
-    if absprec > vmin:
-        total %= p ** (absprec - vmin)
+    if absprec > v:
+        total %= p ** (absprec - v)
         if total:
             shift, total = _split(total, p)
-            return vmin + shift, total, absprec
+            return v + shift, total, absprec
     return absprec, 0, absprec
 
 

@@ -15,22 +15,29 @@ absprec(c_n) + v(P_n(x)) and absprec(P_n(x)) + v(c_n); P_0 = 1 and P_n
 at an integer point are exact (no second bound), and exact-zero
 coefficients and values P_n(k) = 0 drop out.  The tail bound travels
 with the series, not with evaluated values.
+
+Conversion samples at 0..M-1 by O(M^2) tables on integers scaled to
+p**vmin, each sample canonicalized once and known as evaluation knows
+it: a Mahler series by its difference table run backwards, a van der
+Put series by its disc chains (convert, convert_back).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, inf
+from operator import add, sub
 
 from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
     PadicNumber,
     _Frozen,
+    _row,
     _row_sum,
     _split,
     hensel_digits,
-    n_minus,
     vp_factorial,
 )
 
@@ -223,18 +230,17 @@ def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
 def _mahler_series(p: int, samples: list, truncation: int,
                    tail: int | None = None) -> MahlerSeries:
     """c_n = (Delta^n f)(0), n < truncation, from the rows of f(0), f(1),
-    ...; tail bound: the least of tail and the norms past the window."""
+    ...; tail bound: the least of tail and the norms past the window.
+    The difference table runs on integers scaled to p**vmin, and c_n is
+    known to the least absprec of f(0), ..., f(n) (inf: exact zeros)."""
     if truncation < 1 or len(samples) < truncation:
         raise DomainError("need at least %d consecutive samples" % truncation)
-    # the difference table on integers scaled to p**vmin, each entry with
-    # the min absprec of the samples under it (inf: all exact zeros)
     vmin = min((r[0] for r in samples if r is not None), default=0)
-    row = [(0, inf) if r is None else (r[1] * p ** (r[0] - vmin), r[2])
-           for r in samples]
+    diffs = [0 if r is None else r[1] * p ** (r[0] - vmin) for r in samples]
     rows = []
-    while row:
-        rows.append(_row_sum(p, ((vmin, *row[0]),)))
-        row = [(b - a, min(na, nb)) for (a, na), (b, nb) in zip(row, row[1:])]
+    for known in accumulate((inf if r is None else r[2] for r in samples), min):
+        rows.append(_row(p, vmin, diffs[0], known))
+        diffs = list(map(sub, diffs[1:], diffs))
     tail = _min_exponent(tail, *(r[0] for r in rows[truncation:] if r))
     return MahlerSeries._from_rows(p, rows[:truncation], tail)
 
@@ -306,10 +312,13 @@ def vdp_eval(g: VanDerPutSeries, x: Point) -> PadicNumber:
 
 
 def _vdp_series(p: int, samples: list, tail: int | None = None) -> VanDerPutSeries:
-    """v_0 = f(0) and v_n = f(n) - f(n_minus) from the rows of f(0), ..."""
-    return VanDerPutSeries._from_rows(p, samples[:1] + [
-        _row_sum(p, filter(None, (samples[n], _negated(samples[n_minus(n, p)]))))
-        for n in range(1, len(samples))], tail)
+    """v_0 = f(0) and v_n = f(n) - f(n_minus) from the rows of f(0), ...:
+    n_minus is n mod p**s for p**s <= n < p**(s+1)."""
+    rows, low = samples[:1], 1          # low = p**s
+    for n in range(1, len(samples)):
+        low = n if n == low * p else low
+        rows.append(_row_sum(p, filter(None, (samples[n], _negated(samples[n % low])))))
+    return VanDerPutSeries._from_rows(p, rows, tail)
 
 
 def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:
@@ -341,26 +350,49 @@ def sup_norm(f) -> Fraction:
     return Fraction(1, p**e) if e >= 0 else Fraction(p ** (-e))
 
 
+def _mahler_samples(f: MahlerSeries) -> list:
+    """The rows of f(0), ..., f(M-1) (see convert); fact[n] = v_p(n!)."""
+    p, rows = f.prime, f._rows
+    vmin = min((r[0] for r in rows if r is not None), default=0)
+    diffs = [0 if r is None else r[1] * p ** (r[0] - vmin) for r in rows]
+    fact = [0, *accumulate(_split(n, p)[0] for n in range(1, len(rows)))]
+    known = [inf if r is None else r[2] - v for r, v in zip(rows, fact)]
+    samples = []
+    for k, vk in enumerate(fact):
+        samples.append(_row(p, vmin, diffs[0], vk + min(map(sub, known, fact[k::-1]))))
+        diffs = [*map(add, diffs, diffs[1:]), diffs[-1]]
+    return samples
+
+
 def convert(f: MahlerSeries) -> VanDerPutSeries:
     """Sample f at 0..M-1 and expand in the van der Put basis.
 
-    Exact on the sampled window.  Beyond it the result only carries the
-    bound |v_n| <= sup norm of f, because a polynomial truncation is not
+    Exact on the sampled window.  The difference table runs backwards,
+    Delta^n f(k+1) = Delta^n f(k) + Delta^(n+1) f(k) from Delta^n f(0) =
+    c_n, and f(k) keeps mahler_eval's digits: the min over n <= k of
+    absprec(c_n) + v_p(C(k, n)), v_p(C(k, n)) = v_p(k!) - v_p(n!) -
+    v_p((k-n)!).  Beyond the window the result only carries the bound
+    |v_n| <= sup norm of f, because a polynomial truncation is not
     locally constant and keeps a genuine van der Put tail.
     """
-    p = f.prime
-    return _vdp_series(p, [_row_sum(p, _mahler_terms(f, k))
-                           for k in range(f.truncation)], sup_norm_exponent(f))
+    return _vdp_series(f.prime, _mahler_samples(f), sup_norm_exponent(f))
 
 
 def convert_back(g: VanDerPutSeries, truncation: int | None = None) -> MahlerSeries:
     """Sample g at 0..M-1 and expand in the Mahler basis.
 
+    M is g's truncation unless given.  g(k) = g(k mod p**s) + v_k for
+    p**s <= k < p**(s+1) (v_k = 0 past g's window), known to the least
+    absprec of its disc chain; c_n is known to the least of g(0..n).
     Round-tripping a polynomial series through convert/convert_back
     reproduces its coefficients exactly: the van der Put partial sums
     telescope to the exact sampled values at every integer below M.
     """
-    p = g.prime
+    p, rows = g.prime, g._rows
     m = g.truncation if truncation is None else truncation
-    return _mahler_series(p, [_row_sum(p, _vdp_terms(g, k)) for k in range(m)],
-                          m, sup_norm_exponent(g))
+    samples, low = [_row_sum(p, filter(None, rows[:1]))], 1    # low = p**s
+    for k in range(1, m):
+        low = k if k == low * p else low
+        v, below = rows[k] if k < len(rows) else None, samples[k % low]
+        samples.append(_row_sum(p, filter(None, (below, v))) if v else below)
+    return _mahler_series(p, samples, m, sup_norm_exponent(g))

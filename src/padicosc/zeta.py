@@ -41,6 +41,7 @@ from .padics import (
     _Frozen,
     _check_exponent,
     _q_digits,
+    _require_prime,
     _teichmuller_residue,
     _torsion_order,
     is_primitive_root,
@@ -97,8 +98,9 @@ def _validate_regulator(regulator: int, p: int) -> None:
 
 
 def _check_measure(level: int, regulator: int, p: int, **more) -> None:
-    """Ints, a regulator that regularizes, and level >= 0."""
+    """Ints, a prime p, a regulator that regularizes, and level >= 0."""
     _require_ints(**more, level=level, regulator=regulator, p=p)
+    _require_prime(p)
     _validate_regulator(regulator, p)
     if level < 0:
         raise DomainError("level must be >= 0, got %d" % level)

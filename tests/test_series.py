@@ -538,6 +538,39 @@ def test_kernels_match_object_arithmetic_oracle():
     assert raised["value"] > 1000
 
 
+def test_conversions_match_the_oracle_past_p_squared():
+    # windows of p**2 + 1 to 30 samples, and convert_back sampling up to
+    # 30 past the window: disc chains of three links and more at p = 3
+    # and 5, where the draw above (M < 9) reaches two
+    rng = random.Random(2727)
+    for _ in range(80):
+        p = rng.choice((2, 3, 5))
+        m = rng.randrange(p * p + 1, 31)
+        coeffs = tuple(edge_padic(rng, p) for _ in range(m))
+        tail = rng.choice((None, rng.randrange(-2, 9)))
+        f = MahlerSeries(p, coeffs, tail)
+        g = VanDerPutSeries(p, coeffs, tail)
+        assert series_outcome(convert, f) == series_outcome(oracle_convert, f)
+        for k in (m, rng.randrange(1, m), m + rng.randrange(1, 31)):
+            assert series_outcome(convert_back, g, k) == series_outcome(
+                oracle_convert_back, g, k), (g, k)
+        assert series_outcome(mahler_expand, coeffs) == series_outcome(
+            oracle_expand, coeffs, m)
+
+
+def test_convert_keeps_the_digits_of_binomial_valuations():
+    # c_2 = 1 + O(2) alone: f(4) = C(4, 2) c_2 = 6 is known mod 2**2,
+    # one digit past c_2's own, because v_2(C(4, 2)) = 1; a sample cut to
+    # the least absprec of the coefficients would read O(2)
+    p = 2
+    zero = PadicNumber.zero(p)
+    f = MahlerSeries(p, (zero, zero, PadicNumber(p, 0, 1, 1), zero, zero))
+    want = PadicNumber(p, 1, 1, 1)
+    assert mahler_eval(f, 4) == want
+    assert convert(f).coefficients[4] == want      # v_4 = f(4) - f(0)
+    assert oracle_convert(f).coefficients[4] == want
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
 def test_basis_values_match_per_index_inverse_oracle(p, monkeypatch):
     # _basis_values inverts the unit part of (count-1)! once and walks
