@@ -87,9 +87,19 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
-@lru_cache(maxsize=None)
+def _require_ints(**settings) -> None:
+    """DomainError naming the first setting that is not an int: a float
+    reaches pow() or range() as a bare TypeError, and True runs as 1."""
+    for name, v in settings.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise DomainError("%s must be an integer, got %r" % (name, v))
+
+
+@lru_cache(maxsize=None, typed=True)
 def _require_prime(p: int) -> None:
-    """DomainError naming p unless it is prime: _split hangs at p = +-1."""
+    """DomainError naming p unless it is a prime int (typed: 2.0 and True
+    miss the entries of 2 and 1); _split hangs at p = +-1."""
+    _require_ints(p=p)
     if not is_prime(p):
         raise DomainError("p must be a prime, got %r" % (p,))
 

@@ -8,21 +8,20 @@ the units mod q = p^N against the regularized Bernoulli measure
 E_{1,r}(a) = B1(a/q) - r B1((r^-1 a mod q)/q) (Washington, Cyclotomic
 Fields, Ch. 12), then divides by the prefactor <r>^(1-s) w(r)^kappa0 - 1.
 
-The unit sum runs over plain integers mod p^N.  Its two kernels give
-the same residue.  Class sums serve an exponent e = -s that is a small
-integer >= 0: E_{1,r} is constant on each class mod |r|, so the units
-split into progressions whose e-th power sums have a closed form, about
-(e+1) |r| work per unit class.  The residue loop, one term per unit, serves
-the rest (s > 0, generic p-adic s, low N).
+The unit sum runs over plain integers mod p^N, by class sums for every
+s in Z_p: E_{1,r} is constant on each class mod |r|, so the units split
+into progressions whose e-th power sums have a closed form, about (e+1)
+|r| work per unit class, for the exponent e = -s mod p^(N - v_p(q)).  An
+e past the last of N samples e0 + phi(q) j is read off them by Newton
+interpolation in (e - e0)/phi(q), exact mod p^N.
 
 One precision rule: the Riemann sum is certified mod p^N, so the sum
 runs mod p^N and the value, divided by the prefactor of valuation v_den,
 is cut at p^(N - v_den).  The plan fixes in plain integers, before any
-sum, the regulator, v_den in closed form, the exponent -s mod p^(N -
-v_p(q)) and the kernel.  What reads no level is the point plan, kept
-for the last 4 keys (s, p, kappa0, r), so the levels of one sweep plan
-their point once.  The prefactor mod p^(N + v_den) is modular pows of
-w(r) and <r> = r w(r)^(phi(q)-1).
+sum, the regulator, v_den in closed form and the exponent.  What reads
+no level is the point plan, kept for the last 4 keys (s, p, kappa0, r),
+so the levels of one sweep plan their point once.  The prefactor mod
+p^(N + v_den) is modular pows of w(r) and <r> = r w(r)^(phi(q)-1).
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from _thread import allocate_lock
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from .errors import DomainError, PoleError, PrecisionExhaustedError
 from .padics import (
@@ -41,6 +41,7 @@ from .padics import (
     _Frozen,
     _check_exponent,
     _q_digits,
+    _require_ints,
     _require_prime,
     _teichmuller_residue,
     _torsion_order,
@@ -80,14 +81,6 @@ def bernoulli(k: int) -> Fraction:
 
 
 # -- the measure --------------------------------------------------------
-
-
-def _require_ints(**settings) -> None:
-    """DomainError naming the first setting that is not an int: a float
-    reaches pow() or range() as a bare TypeError, and True runs as 1."""
-    for name, v in settings.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise DomainError("%s must be an integer, got %r" % (name, v))
 
 
 def _validate_regulator(regulator: int, p: int) -> None:
@@ -249,100 +242,96 @@ def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
         p, 0, pow(angle, exponent, mod) * pow(w, kappa0, mod) - 1, digits)
 
 
-def _unit_classes(p: int, digits: int):
-    """Stride and unit classes (c, w(c) mod p^digits); at p = 2, c mod 4."""
-    stride = p ** _q_digits(p)
-    return stride, [(c, _teichmuller_residue(p, c, digits))
-                    for c in range(1, stride) if c % p]
-
-
-def _unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
-              level: int, digits: int) -> int:
-    """Sum over the units a mod p^level of <a>^exponent w(a)^(kappa0-1)
-    E_{1,r}(a + p^level Z_p), as a residue mod p^digits.
-
-    The residue loop, one term per unit: zeta_measure runs it for a
-    negative or large exponent and at low levels, and it is the test
-    oracle of _class_unit_sum.
-    """
-    q, mod = p**level, p**digits
-    rinv, slope, half = _disc_constants(regulator, q, mod)
-    stride, classes = _unit_classes(p, digits)
-    order = _torsion_order(p)
-    e_om = (kappa0 - 1) % order
-    acc = 0
-    for c, w in classes:
-        winv = pow(w, order - 1, mod)  # w^-1: w^order = 1
-        part = 0
-        if exponent < 0:
-            den = 1  # sum mu / x as part/den: one inverse per class
-            for a in range(c, q, stride):
-                mu = regulator * (rinv * a // q) - slope * a + half
-                x = pow(a * winv % mod, -exponent, mod)
-                part, den = (part * x + mu * den) % mod, den * x % mod
-            part *= pow(den, -1, mod)
-        else:
-            for a in range(c, q, stride):
-                mu = regulator * (rinv * a // q) - slope * a + half
-                part += pow(a * winv % mod, exponent, mod) * mu
-        acc += part % mod * pow(w, e_om, mod)
-    return acc % mod
-
-
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
-                    level: int, digits: int) -> int:
-    """_unit_sum for exponent e >= 0 by class sums, the same residue.
+                    level: int) -> int:
+    """Sum over the units a mod q = p^level of <a>^e w(a)^(kappa0-1)
+    E_{1,r}(a + qZ_p) mod q for e >= 0; the tests keep the loop oracle.
 
     For 0 < a < q, E_{1,r}(a) = m + (r - 1)/2 with m = (a - r (R a mod q))/q
     = a q^-1 mod |r| in [1 - r, 0] (r > 0) or [1, |r|] (r < 0), so the
-    measure is constant on each class a mod |r|.  Each progression of units
-    a = A + D t, D = step |r|, t < n, of one class then needs only
-    sum (A + D t)^e = sum_i C(e, i) A^(e-i) D^i F_i(n).  The power sums
-    F_i(n) = sum_{t<n} t^i = sum_k k! S(i, k) C(n, k + 1) are (T^i b)_0, with
-    b_k = k! C(n, k + 1) and (T b)_k = k b_k + b_(k+1): the recurrence of
-    k! S(i, k) moved onto b, which loses one entry a step, so memory is O(e).
+    measure is constant on each class mod |r|.  As <a>^e = a^e w(a)^-e, a
+    progression A + D t, D = step |r|, t < n, of one unit class needs only
+    sum (A + D t)^e = sum_i C(e, i) A^(e-i) D^i F_i(n).
+    F_i(n) = sum_{t<n} t^i = sum_k k! S(i, k) C(n, k + 1) is (T^i b)_0, with
+    b_k = k! C(n, k + 1) and (T b)_k = k b_k + b_(k+1), the recurrence of
+    k! S(i, k) moved onto b: memory O(e), and it stops once D^i = 0 mod q.
+
+    The sums S(j) at e_j = e0 + phi(q) j, e0 = e mod phi(q), are sum c_a
+    u_a^j with u_a = a^phi(q) = 1 mod p, so Delta^n S(0) vanishes mod q
+    from n = D = level on (from ceil(level/3) on at p = 2, u_a = 1 mod 8).
+    An e past e_(D-1) is S(t), t = (e - e0)/phi(q), by Newton's series cut
+    at D, in Lagrange form sum_j L_j(t) S(j): the samples share the weight
+    w^(kappa0-1-e0), and one Horner row per progression sums them all.
     """
-    q, mod, order = p**level, p**digits, _torsion_order(p)
-    rinv, slope, half = _disc_constants(regulator, q, mod)
-    e, size = exponent, abs(regulator)
-    if (kappa0 - 1 - e) % order == 0:
-        # every weight is 1: all 0 < a < q less the multiples of p
-        runs = [(1, 1, q - 1, 1), (p, p, q // p - 1, mod - 1)]
-    else:
-        stride, classes = _unit_classes(p, digits)
+    q, order, size = p**level, _torsion_order(p), abs(regulator)
+    rinv, slope, half = _disc_constants(regulator, q, q)
+    e0, t = exponent % order, exponent // order
+    if t < level:
+        exps, lams = [exponent], [1]
+    else:  # the samples, and L_j(t) = (-1)^(D-1-j) C(t, j) C(t-j-1, D-1-j)
+        exps = range(e0, e0 + order * level, order)
+        lams = [(-1) ** (level - 1 - j) * math.comb(t, j)
+                * math.comb(t - j - 1, level - 1 - j) % q
+                for j in range(level)]
+    twist = (kappa0 - 1 - e0) % order
+    if twist or p < 5:
+        # one run per unit class c mod p, weighted w(c)^twist: p - 1 <= 2
+        # runs of one row when p < 5; c mod 4 at p = 2 unless twist = 0
+        stride = p**_q_digits(p) if twist else p
         runs = [(c, stride, (q - 1 - c) // stride + 1,
-                 pow(w, (kappa0 - 1 - e) % order, mod)) for c, w in classes]
-    sums = {}  # (n, step): C(e, i) D^i F_i(n) mod p^digits, D = step |r|
+                 pow(_teichmuller_residue(p, c, level), twist, q))
+                for c in range(1, stride) if c % p]
+    else:
+        # every weight is 1: all 0 < a < q less the multiples of p, two
+        # runs in place of p - 1; the multiples' e-th powers vanish mod q
+        # from e = level on
+        runs = [(1, 1, q - 1, 1)]
+        if exps[0] < level:
+            runs.append((p, p, q // p - 1, q - 1))
+    top, rows = exps[-1], {}  # (n, step): the Horner row, degree top first
+    # per sample, its shift in the row and L_j(t) C(e_j, i), i <= e_j
+    samples = [(top - e, list(map(mul, repeat(lam),
+                                  map(math.comb, repeat(e), range(e + 1)))))
+               for e, lam in zip(exps, lams)]
     for _, step, count, _ in runs:
-        n = c = count // size
-        if (n, step) in sums:
+        n = count // size
+        if (n, step) in rows:
             continue
-        b, f, ce, d = [], 1, 1, 1  # b_k = k! C(n, k + 1) mod p^digits
-        for k in range(e + 1):
-            b.append(c * f % mod)
-            c, f = c * (n - k - 1) // (k + 2), f * (k + 1) % mod
-        row = sums[n, step] = []
-        for i in range(e + 1):
-            row.append(ce * d * b[0] % mod)
-            for k in range(e - i):
-                b[k] = (k * b[k] + b[k + 1]) % mod
-            ce, d = ce * (e - i) // (i + 1), d * step * size % mod
-    acc = 0
+        # b_k = k! C(n, k + 1) = n (n - 1) ... (n - k) / (k + 1) mod q
+        b = [f // k % q for k, f in enumerate(
+            accumulate(range(n, n - top - 1, -1), mul), 1)]
+        powers, d = [0] * (top + 1), 1  # D^i F_i(n) mod q, 0 once D^i is
+        for i in range(top + 1):
+            powers[i] = d * b[0] % q
+            d = d * step * size % q
+            if not d:
+                break
+            for k in range(top - i):
+                b[k] = (k * b[k] + b[k + 1]) % q
+        row = rows[n, step] = list(map(mul, samples[-1][1], powers))
+        for shift, coefs in samples[:-1]:
+            row[shift:] = map(add, row[shift:], map(mul, coefs, powers))
+    acc, tails, tail_mus = 0, [], []
     for start, step, count, weight in runs:
         # count = n |r| + extra: the first `extra` sub-progressions hold
-        # n + 1 terms, the others n
+        # n + 1 terms, the others n; their last terms are summed apart
         n, extra = divmod(count, size)
-        part = 0
-        for j in range(min(size, count)):
-            a = start + step * j
-            h, x = 0, a % mod
-            for g in sums[n, step]:
-                h = h * x + g  # x < q is short: part % mod reduces h
-            if j < extra:
-                h += pow(a + step * size * n, e, mod)
-            part += (regulator * (rinv * a // q) - slope * a + half) * h
-        acc += part % mod * weight
-    return acc % mod
+        row, part = rows[n, step], 0
+        for i in range(min(size, count)):
+            a, h = start + step * i, 0
+            for g in row:
+                h = h * a + g  # a < q is short: part % q reduces h
+            mu = regulator * (rinv * a // q) - slope * a + half
+            if i < extra:
+                tails.append(a + step * size * n)
+                tail_mus.append(mu * weight)
+            part += mu * h
+        acc += part % q * weight
+    if tails:
+        for e, lam in zip(exps, lams):
+            acc += lam * sum(map(mul, tail_mus,
+                                 map(pow, tails, repeat(e), repeat(q))))
+    return acc % q
 
 
 @lru_cache(maxsize=4)
@@ -378,10 +367,9 @@ def _point_plan(s, p: int, kappa0: int, regulator: int | None) -> tuple:
 def _plan(s, branch: Branch, regulator: int | None, level: int,
           precision: int | None) -> tuple:
     """Validate, then fix in plain ints before any sum: (regulator, exponent,
-    v_den, error_bound_exponent, class_sums, work).  <a> has order dividing
-    p^(level - v_p(q)) mod p^level, so the exponent is -s mod that order;
-    the bound is level - v_den, capped at precision; work is the kernel's
-    cost in Horner steps."""
+    v_den, error_bound_exponent).  <a> has order dividing p^(level -
+    v_p(q)) mod p^level, so the exponent is -s mod that order, in [0,
+    p^(level - v_p(q))); the bound is level - v_den, capped at precision."""
     p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
     n_req = DEFAULT_PRECISION if precision is None else precision
@@ -395,27 +383,16 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
         raise DomainError("precision must be positive")
     _check_exponent(s, p, "s")
     r, v_den = _point_plan(s, p, kappa0, regulator)
-    exponent = -s
-    if isinstance(s, PadicNumber):
-        need = level - _q_digits(p)
-        if not s.is_exact_zero and s.abs_precision < need:
-            raise PrecisionExhaustedError(
-                "the exponent of <a>^(-s) needs s mod %d**%d, "
-                "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
-        exponent = exponent.residue(need)
-    # work in Horner steps, fitted to timings of both kernels (p <= 13,
-    # e <= 24) near their crossover: the class sums take e + 1 per
-    # sub-progression, (e + 1)^2 for the power sums and 40 to set up; the
-    # loop 3.5 per unit and 5 per class, more past e = 24 (pow grows)
-    units = p**level - p**(level - 1)
-    order = _torsion_order(p)
-    count = 2 if (kappa0 - 1 - exponent) % order == 0 else order
-    subs = count * min(abs(r), units // count)
-    work = (subs + exponent + 1) * (exponent + 1) + 40
-    loop = 7 * units + 10 * order  # twice the loop's work
-    class_sums = 0 <= exponent < units and 2 * work < loop
-    return (r, exponent, v_den, min(level - v_den, n_req), class_sums,
-            work if class_sums else loop // 2)
+    need = level - _q_digits(p)
+    if isinstance(s, int):
+        exponent = -s % p**need
+    elif s.is_exact_zero or s.abs_precision >= need:
+        exponent = (-s).residue(need)
+    else:
+        raise PrecisionExhaustedError(
+            "the exponent of <a>^(-s) needs s mod %d**%d, "
+            "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
+    return r, exponent, v_den, min(level - v_den, n_req)
 
 
 def zeta_measure(s, branch: Branch, regulator: int | None = None,
@@ -423,18 +400,16 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
                  precision: int | None = None) -> ZetaBranchEval:
     """Riemann-sum evaluation of the branch zeta function at s in Z_p.
 
-    The run step of _plan: the prefactor mod p^(level + v_den), one kernel
-    call mod p^level and one division, whose quotient is known to
+    The run step of _plan: the prefactor mod p^(level + v_den), the class
+    sums mod p^level and one division, whose quotient is known to
     p^(level - v_den).  The value is cut at error_bound_exponent, that
     exponent or precision if lower, so it carries no uncertified digit.
     """
     p, kappa0 = branch.prime, branch.kappa0
-    r, exponent, v_den, bound, class_sums, _ = _plan(
-        s, branch, regulator, level, precision)
+    r, exponent, v_den, bound = _plan(s, branch, regulator, level, precision)
     den = _prefactor_denominator(s, kappa0, r, p, level + v_den)
-    kernel = _class_unit_sum if class_sums else _unit_sum
     integral = PadicNumber._make(
-        p, 0, kernel(p, kappa0, exponent, r, level, level), level)
+        p, 0, _class_unit_sum(p, kappa0, exponent, r, level), level)
     return ZetaBranchEval(p, kappa0, s, r, level,
                           (integral / den).truncated_to(bound), bound,
                           "measure")

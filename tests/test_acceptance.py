@@ -179,8 +179,8 @@ def test_criterion_06_measure_and_interpolation_paths_agree():
 
 def test_criterion_06_paths_agree_to_all_working_digits():
     # at level ZETA_DIGITS + v(den) the certified bound covers every digit;
-    # only the class sums reach that level, so the time limit fails a
-    # fall-back to the loop over p^level residues
+    # the class sums reach that level, and the time limit fails a loop
+    # over the p^level residues
     start = time.monotonic()
     for p, kappa0, ks in ((2, 0, (2, 4, 6)),) + ZETA_GRID:
         branch = Branch(p, kappa0)

@@ -11,6 +11,8 @@ import pytest
 from padicosc.errors import DomainError, PoleError, PrecisionExhaustedError
 from padicosc.padics import (
     PadicNumber,
+    _teichmuller_residue,
+    _torsion_order,
     is_prime,
     teichmuller,
     unit_power,
@@ -22,7 +24,7 @@ from padicosc.zeta import (
     MazurMeasure,
     ZetaBranchEval,
     _class_unit_sum,
-    _unit_sum,
+    _disc_constants,
     bernoulli,
     default_regulator,
     integrate_units,
@@ -542,74 +544,101 @@ def test_zeta_measure_integer_s_matches_same_s_as_padic(p, kappa0, k, level):
     assert as_int.error_bound_exponent == as_padic.error_bound_exponent
 
 
-# (default, second, even) regulator per prime; p = 2 has no even one
-KERNEL_REGULATORS = {2: (3, 5), 3: (2, 5, 4), 5: (2, 3, 4), 7: (3, 5, 2),
-                     11: (2, 3, 4), 13: (2, 5, 4)}
+def _unit_sum(p, kappa0, exponent, regulator, level, digits):
+    """The residue loop, one term per unit: sum over the units a mod
+    p^level of <a>^exponent w(a)^(kappa0-1) E_{1,r}(a + p^level Z_p), as a
+    residue mod p^digits, for any integer exponent.  The oracle of the
+    class sums."""
+    q, mod = p**level, p**digits
+    rinv, slope, half = _disc_constants(regulator, q, mod)
+    stride, order = (4, 2) if p == 2 else (p, p - 1)
+    e_om = (kappa0 - 1) % order
+    acc = 0
+    for c in range(1, stride, 2 if p == 2 else 1):
+        w = _teichmuller_residue(p, c, digits)
+        winv = pow(w, order - 1, mod)  # w^-1: w^order = 1
+        part = 0
+        if exponent < 0:
+            den = 1  # sum mu / x as part/den: one inverse per class
+            for a in range(c, q, stride):
+                mu = regulator * (rinv * a // q) - slope * a + half
+                x = pow(a * winv % mod, -exponent, mod)
+                part, den = (part * x + mu * den) % mod, den * x % mod
+            part *= pow(den, -1, mod)
+        else:
+            for a in range(c, q, stride):
+                mu = regulator * (rinv * a // q) - slope * a + half
+                part += pow(a * winv % mod, exponent, mod) * mu
+        acc += part % mod * pow(w, e_om, mod)
+    return acc % mod
 
 
-def _kernel_cases(p):
-    """(kappa0, e, r, level, digits): a matched and an unmatched weight at
-    every level, regulator and digit count; e runs through 0..12 and
-    kappa0 through every class mod the torsion order."""
-    order = 2 if p == 2 else p - 1
-    i = 0
-    for level in (range(2, 8) if p == 2 else range(1, 6)):
-        combos = [(r, d) for r in KERNEL_REGULATORS[p] for d in (4, 7, 24)]
-        if p**level > 10**5:
-            # the loop takes one term per unit: 11^5 and 13^5 run one combo
-            combos = combos[:1]
-        for r, digits in combos:
-            e = i % 13
-            yield (1 + e) % order, e, r, level, digits
-            yield (2 + e + i % (order - 1)) % order, e, r, level, digits
-            i += 1
-    yield from _wide_kernel_cases(p)
+# the top level per prime of the differential draws: at most 2197 units
+DIFF_TOP = {2: 10, 3: 6, 5: 4, 7: 3, 11: 3, 13: 3}
 
 
-@pytest.mark.parametrize("p", sorted(KERNEL_REGULATORS))
+def _exponent_draw(rng, p, level):
+    """An exponent: small, near the last sample phi(q) (level - 1), past
+    it, p-adic, huge or negative."""
+    order = _torsion_order(p)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randrange(30)
+    if kind == 1:
+        return order * level + rng.randrange(-order - 2, order + 2)
+    if kind == 2:
+        return order * level + rng.randrange(order * level * 4)
+    if kind == 3:
+        return rng.randrange(p**30)
+    if kind == 4:
+        return rng.randrange(10**40)
+    return -rng.randrange(1, 10**rng.randrange(1, 40))
+
+
+@pytest.mark.parametrize("p", sorted(DIFF_TOP))
 def test_floor_sum_kernel_matches_residue_loop(p):
-    # by name: zeta_measure sends small p-adic exponents to the floor sums
-    # too, so neither kernel is reachable alone through the public API
-    for kappa0, e, r, level, digits in _kernel_cases(p):
-        args = (p, kappa0, e, r, level, digits)
-        assert _class_unit_sum(*args) == _unit_sum(*args), args
+    # the kernel against the loop oracle mod p^level, 200 seeded draws per
+    # prime: matched and unmatched weights, negative regulators and |r| >
+    # q, exponents on both sides of the last sample.  The kernel takes the
+    # exponent as _plan hands it over, reduced mod p^(level - v_p(q)), and
+    # every e >= 0 as it is
+    rng = random.Random(2800 + p)
+    order = _torsion_order(p)
+    low = 2 if p == 2 else 1
+    regulators = [r for r in range(-9, 30) if r % p and abs(r) > 1] + [101]
+    # first e = 0 at the lowest level, where the class of 0 mod |r| is the
+    # exception, with |r| > q
+    fixed = [(low, r, 0) for r in (-3, 29, 101) if r % p]
+    seen = {"matched": 0, "unmatched": 0, "direct": 0, "interpolated": 0}
+    for draw in range(200):
+        if draw < 2 * len(fixed):
+            level, r, e = fixed[draw // 2]
+        else:
+            level = rng.randrange(low, DIFF_TOP[p] + 1)
+            r = rng.choice(regulators)
+            e = _exponent_draw(rng, p, level)
+        matched = draw % 2 == 0
+        kappa0 = (1 + e + (0 if matched else rng.randrange(1, order))) % order
+        want = _unit_sum(p, kappa0, e, r, level, level)
+        reduced = e % p**(level - (2 if p == 2 else 1))
+        for exponent in {reduced, e} if e >= 0 else {reduced}:
+            seen["direct" if exponent < order * level
+                 else "interpolated"] += 1
+            got = _class_unit_sum(p, kappa0, exponent, r, level)
+            assert got == want, (p, kappa0, e, exponent, r, level)
+        seen["matched" if matched else "unmatched"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
-def test_class_sums_match_residue_loop_at_larger_exponents():
-    # e = 25..200, past the e <= 24 of _kernel_cases: each draw runs the
-    # matched weight (the two runs of all units) and an unmatched one
-    rng = random.Random(22)
-    top = {2: 9, 3: 6, 5: 4, 7: 4, 13: 3}
-    for _ in range(150):
-        p = rng.choice(sorted(top))
-        order = 2 if p == 2 else p - 1
-        e, level, digits = (rng.randrange(25, 201), rng.randrange(1, top[p]),
-                            rng.randrange(1, 30))
-        r = rng.choice([x for x in range(-9, 30) if x % p and abs(x) > 1])
-        for kappa0 in ((1 + e) % order, (2 + e) % order):
-            args = (p, kappa0, e, r, level, digits)
-            assert _class_unit_sum(*args) == _unit_sum(*args), args
-
-
-def _wide_kernel_cases(p):
-    """Negative regulators, |r| > q at levels 1-2, e up to 24, one digit,
-    and e = 0 at level 1, where the class of 0 mod |r| is the exception."""
-    order = 2 if p == 2 else p - 1
-    for r in (-2, -3, 29, 101):
-        if r % p == 0:
-            continue
-        for level in ((1, 2, 3) if r < 0 else (1, 2)):
-            for digits in (1, 9, 33):
-                for e in (0, 1, 7, 13, 24):
-                    yield (1 + e) % order, e, r, level, digits
-                    yield (2 + e) % order, e, r, level, digits
-
-
-@pytest.mark.parametrize("p,level,s", [(7, 24, -2), (2, 65, -2)])
+@pytest.mark.parametrize("p,level,s", [
+    (7, 24, -2), (2, 65, -2), (7, 30, 2),
+    (5, 20, PadicNumber.from_rational(1, 3, 5, 40))])
 def test_zeta_measure_high_levels(p, level, s):
     # a unit class holds more than 2**63 - 1 units here, past what
-    # len(range(...)) can count; consecutive levels must still agree
-    branch = Branch(p, 2 if p == 7 else 0)
+    # len(range(...)) can count; consecutive levels must still agree.  At
+    # s = 2 and at s = 1/3 the exponent -s mod p^(level - 1) is huge and
+    # read off the samples
+    branch = Branch(p, 0 if p == 2 else 2)
     low = zeta_measure(s, branch, level=level, precision=20)
     high = zeta_measure(s, branch, level=level + 1, precision=20)
     d = low.value - high.value
@@ -617,55 +646,17 @@ def test_zeta_measure_high_levels(p, level, s):
     assert d.is_zero or d.valuation >= bound, (d, bound)
 
 
-# the top level per prime of the benchmark's integer-s sweep, precision 20
-SWEEP_TOP = {2: 15, 3: 9, 5: 6, 7: 5, 11: 4, 13: 4}
-
-
-def test_zeta_measure_kernel_routing(monkeypatch):
-    calls = []
-
-    def spy(name):
-        kernel = getattr(zeta, name)
-
-        def wrapped(*args):
-            calls.append(name)
-            return kernel(*args)
-        monkeypatch.setattr(zeta, name, wrapped)
-
-    spy("_class_unit_sum")
-    spy("_unit_sum")
-    for p, level in SWEEP_TOP.items():
-        order = 2 if p == 2 else p - 1
-        for kappa0 in range(0, max(p - 2, 0) + 1, 2):
-            for k in range(1, 13):
-                if (k - kappa0) % order:
-                    continue
-                calls.clear()
-                zeta_measure(1 - k, Branch(p, kappa0), level=level,
-                             precision=20)
-                assert calls == ["_class_unit_sum"], (p, kappa0, k)
-    # a negative exponent (s = 2) and a p-adic one, -1/3 = 83 mod 5^3, take
-    # the loop
-    for s in (2, PadicNumber.from_rational(1, 3, 5, 20)):
-        calls.clear()
-        zeta_measure(s, Branch(5, 2), level=4, precision=10)
-        assert calls == ["_unit_sum"], s
-
-
 def test_plan_runs_no_kernel(monkeypatch):
-    # --p 7 --kappa0 2 --level 30 zeta-measure -- -1: s = 2 would take the
-    # loop over 7^30 residues, yet the plan is made without any sum
+    # --p 7 --kappa0 2 --level 30 zeta-measure -- -1: s = 2 is the
+    # exponent -2 mod 7^29, and the plan is made without any sum
     def refuse(*args):
         raise AssertionError("a kernel ran in the plan")
 
     monkeypatch.setattr(zeta, "_class_unit_sum", refuse)
-    monkeypatch.setattr(zeta, "_unit_sum", refuse)
-    r, exponent, v_den, bound, class_sums, work = zeta._plan(
-        2, Branch(7, 2), None, 30, 32)
-    assert (r, exponent, class_sums) == (3, -2, False)
+    r, exponent, v_den, bound = zeta._plan(2, Branch(7, 2), None, 30, 32)
+    assert (r, exponent) == (3, 7**29 - 2)
     # w(3)^2 = 2 mod 7: the prefactor is a unit, and the bound the level
     assert v_den == 0 and bound == 30
-    assert work > 7**29
 
 
 def _per_unit_pow_sum(p, kappa0, exponent, r, level, digits):
@@ -702,12 +693,12 @@ def test_negative_exponent_loop_matches_per_unit_pow(p, regulators):
                         assert got == _per_unit_pow_sum(*args), args
 
 
-def test_class_sums_at_a_large_exponent(monkeypatch):
-    # e = 300 at p = 7, level 6 takes the class sums; their power sums come
-    # from one list of e + 1 residues mod p^digits and no table of k! S(i, k)
-    # rows, so the peak stays O(e) small integers (a whole table of
-    # unreduced rows took about 9 MB here)
-    args = (7, 2, 300, 3, 6, 26)
+def test_class_sums_at_a_large_exponent():
+    # e = 300 at p = 7, level 6 is read off 6 samples up to e = 30; their
+    # power sums come from one list of residues mod p^level and no table of
+    # k! S(i, k) rows, so the peak stays small (a whole table of unreduced
+    # rows at e = 300 took about 9 MB here)
+    args = (7, 2, 300, 3, 6)
     tracemalloc.start()
     try:
         got = _class_unit_sum(*args)
@@ -715,13 +706,7 @@ def test_class_sums_at_a_large_exponent(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    assert got == _unit_sum(*args)
-
-    def refuse(*args):
-        raise AssertionError("the loop took e = 300")
-
-    monkeypatch.setattr(zeta, "_unit_sum", refuse)
-    zeta_measure(-300, Branch(7, 2), level=6, precision=20)
+    assert got == _unit_sum(*args, 6)
 
 
 def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
@@ -820,8 +805,8 @@ def test_zeta_sweep_plans_each_point_once():
 
 
 def test_zeta_caches_keep_no_large_table():
-    # e = 300 takes the class sums, whose power-sum table is O(e^2): it
-    # streams and no cache keeps it
+    # e = 300 is read off class sums whose power sums stream: no cache
+    # keeps a table of them
     _clear_zeta_caches()
     tracemalloc.start()
     try:
@@ -887,7 +872,7 @@ def test_zeta_measure_via_public_integration():
                                       precision=precision)
                     _assert_agree(by_hand, ev.value,
                                   ev.error_bound_exponent)
-    # a p-adic s, then the residue loop at negative exponents (s = 2, 3)
+    # a p-adic s, then negative exponents (s = 2, 3)
     for p, kappa0, num, den in ORACLE_PADIC_S:
         branch = Branch(p, kappa0)
 
