@@ -211,6 +211,7 @@ class PadicNumber(_Frozen):
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         _require_prime(p)
+        _require_ints(precision=precision)
         return cls._make(p, 0, 1, precision)
 
     @classmethod
@@ -242,6 +243,7 @@ class PadicNumber(_Frozen):
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
         _require_prime(p)
+        _require_ints(precision=precision)
         if n == 0:
             return cls.zero(p)
         v, u = _split(n, p)
@@ -253,6 +255,7 @@ class PadicNumber(_Frozen):
         if den == 0:
             raise DomainError("zero denominator")
         _require_prime(p)
+        _require_ints(precision=precision)
         if num == 0:
             return cls.zero(p)
         vn, nu = _split(num, p)
@@ -502,15 +505,16 @@ def _torsion_order(p: int) -> int:
 
 
 def _check_exponent(s, p: int, name: str) -> None:
-    """Raise DomainError unless s is an int or a PadicNumber in Z_p at the
-    prime p; name is the caller's word for s in the message."""
+    """Raise DomainError unless s is an int (not a bool) or a PadicNumber in
+    Z_p at the prime p; name is the caller's word for s in the message."""
     if isinstance(s, PadicNumber):
         if s.prime != p:
             raise DomainError("%s lives in a different Q_p" % name)
         if not s.is_zero and s.valuation < 0:
             raise DomainError("%s must lie in Z_p" % name)
-    elif not isinstance(s, int):
-        raise DomainError("%s must be an int or PadicNumber" % name)
+    elif not isinstance(s, int) or isinstance(s, bool):
+        raise DomainError("%s must be an integer or a PadicNumber, got %r"
+                          % (name, s))
 
 
 @lru_cache(maxsize=None)

@@ -233,8 +233,8 @@ def _mahler_series(p: int, samples: list, truncation: int,
     ...; tail bound: the least of tail and the norms past the window.
     The difference table runs on integers scaled to p**vmin, and c_n is
     known to the least absprec of f(0), ..., f(n) (inf: exact zeros)."""
-    if truncation < 1 or len(samples) < truncation:
-        raise DomainError("need at least %d consecutive samples" % truncation)
+    if truncation < 1:
+        raise DomainError("truncation must be >= 1, got %d" % truncation)
     vmin = min((r[0] for r in samples if r is not None), default=0)
     diffs = [0 if r is None else r[1] * p ** (r[0] - vmin) for r in samples]
     rows = []

@@ -18,10 +18,11 @@ interpolation in (e - e0)/phi(q), exact mod p^N.
 One precision rule: the Riemann sum is certified mod p^N, so the sum
 runs mod p^N and the value, divided by the prefactor of valuation v_den,
 is cut at p^(N - v_den).  The plan fixes in plain integers, before any
-sum, the regulator, v_den in closed form and the exponent.  What reads
-no level is the point plan, kept for the last 4 keys (s, p, kappa0, r),
-so the levels of one sweep plan their point once.  The prefactor mod
-p^(N + v_den) is modular pows of w(r) and <r> = r w(r)^(phi(q)-1).
+sum, the regulator, v_den in closed form, the exponent and the prefactor
+mod p^(N + v_den), all from one residue of s: a shorter s raises the one
+PrecisionExhaustedError.  What reads no level is the point plan, kept
+for the last 4 keys (s, p, kappa0, r), so the levels of one sweep plan
+their point once.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def bernoulli(k: int) -> Fraction:
     integer until the one division (Brent and Harvey, arXiv:1108.0286).
     The table grows one index per row under a lock; reads are thread-safe.
     """
+    _require_ints(k=k)
     if k < 0:
         raise DomainError("negative Bernoulli index")
     with _BERNOULLI_LOCK:
@@ -211,35 +213,16 @@ def zeta_interp(k: int, branch: Branch,
     """
     p = branch.prime
     _require_even_branch(branch)
+    n = DEFAULT_PRECISION if precision is None else precision
+    _require_ints(k=k, precision=n)
     if k < 1:
         raise DomainError("k must be a positive integer")
     if (k - branch.kappa0) % _torsion_order(p):
         raise DomainError(
             "branch mismatch: k = %d is not %d mod %d"
             % (k, branch.kappa0, _torsion_order(p)))
-    n = DEFAULT_PRECISION if precision is None else precision
     value = -(1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
     return PadicNumber.from_fraction(value, p, n)
-
-
-def _prefactor_denominator(s, kappa0: int, regulator: int, p: int,
-                           digits: int) -> PadicNumber:
-    """<r>^(1-s) w(r)^kappa0 - 1 mod p^digits by modular pows; a p-adic s
-    is read mod p^(digits - v(<r> - 1)), as unit_power reads it."""
-    mod = p**digits
-    w = _teichmuller_residue(p, regulator % p**_q_digits(p), digits)
-    angle = regulator * pow(w, _torsion_order(p) - 1, mod) % mod
-    # at <r> = 1 mod p^digits every power of <r> is 1 too
-    exponent = 1 - s if isinstance(s, int) else 0
-    if isinstance(s, PadicNumber) and angle != 1:
-        need = max(digits - vp(angle - 1, p), 1)
-        if not s.is_exact_zero and s.abs_precision < need:
-            raise PrecisionExhaustedError(
-                "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod %d**%d, "
-                "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
-        exponent = (1 - s.residue(need)) % p**need
-    return PadicNumber._make(
-        p, 0, pow(angle, exponent, mod) * pow(w, kappa0, mod) - 1, digits)
 
 
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
@@ -336,40 +319,42 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
 
 @lru_cache(maxsize=4)
 def _point_plan(s, p: int, kappa0: int, regulator: int | None) -> tuple:
-    """_plan's part that reads no level: (r, v_den), v_den the valuation of
-    <r>^(1-s) w(r)^kappa0 - 1 on an even branch.  It is 0 unless
-    w(r)^kappa0 = 1 mod p; then w(r)^kappa0 = 1 and it is v(<r> - 1) +
-    v(1 - s) (Washington, Ch. 5), with v(<r> - 1) = v(r^phi(q) - 1) -
-    v(phi(q)) on integers.  A raise is not cached: it comes every call."""
+    """_plan's part that reads no level: (r, v_r, v_den), v_r = v(<r> - 1)
+    = v(r^phi(q) - 1) - v(phi(q)) and v_den the valuation of <r>^(1-s)
+    w(r)^kappa0 - 1 on an even branch.  It is 0 unless w(r)^kappa0 = 1 mod
+    p; then w(r)^kappa0 = 1 and it is v_r + v(1 - s) (Washington, Ch. 5).
+    A raise is not cached: it comes every call."""
     r = default_regulator(p) if regulator is None else regulator
+    order = _torsion_order(p)
+    v_r = vp(r**order - 1, p) - vp(order, p)
     if pow(r % p, kappa0, p) != 1:
-        return r, 0
+        return r, v_r, 0
     if isinstance(s, int):
         if s == 1:
             raise PoleError(
                 "pole/indeterminate at this branch point: s = 1 with "
                 "w(r)^kappa0 = 1")
-        v_s = vp(1 - s, p)
-    elif s.is_exact_zero:
-        v_s = 0
-    else:
-        diff = s - 1
-        if diff.is_zero:
-            raise PrecisionExhaustedError(
-                "s is indistinguishable from the pole at 1 "
-                "(difference known to vanish mod %d**%s)"
-                % (p, diff.known_to))
-        v_s = diff.valuation
-    order = _torsion_order(p)
-    return r, vp(r**order - 1, p) - vp(order, p) + v_s
+        return r, v_r, v_r + vp(1 - s, p)
+    if s.is_exact_zero:
+        return r, v_r, v_r
+    diff = s - 1
+    if diff.is_zero:
+        raise PrecisionExhaustedError(
+            "s is indistinguishable from the pole at 1 "
+            "(difference known to vanish mod %d**%s)" % (p, diff.known_to))
+    return r, v_r, v_r + diff.valuation
 
 
 def _plan(s, branch: Branch, regulator: int | None, level: int,
           precision: int | None) -> tuple:
     """Validate, then fix in plain ints before any sum: (regulator, exponent,
-    v_den, error_bound_exponent).  <a> has order dividing p^(level -
-    v_p(q)) mod p^level, so the exponent is -s mod that order, in [0,
-    p^(level - v_p(q))); the bound is level - v_den, capped at precision."""
+    prefactor, v_den, error_bound_exponent).  <a> has order dividing
+    p^(level - v_p(q)) mod p^level, so the exponent is -s mod that order;
+    the prefactor <r>^(1-s) w(r)^kappa0 - 1 is made mod p^(level + v_den),
+    where <r> = r w(r)^(phi(q)-1) = 1 mod p^v_r has order dividing
+    p^(level + v_den - v_r).  One residue of s, to the larger of the two,
+    serves both; a shorter s raises the one PrecisionExhaustedError.  The
+    bound is level - v_den, capped at precision."""
     p, kappa0 = branch.prime, branch.kappa0
     _require_even_branch(branch)
     n_req = DEFAULT_PRECISION if precision is None else precision
@@ -382,17 +367,21 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
     if n_req < 1:
         raise DomainError("precision must be positive")
     _check_exponent(s, p, "s")
-    r, v_den = _point_plan(s, p, kappa0, regulator)
-    need = level - _q_digits(p)
-    if isinstance(s, int):
-        exponent = -s % p**need
-    elif s.is_exact_zero or s.abs_precision >= need:
-        exponent = (-s).residue(need)
-    else:
-        raise PrecisionExhaustedError(
-            "the exponent of <a>^(-s) needs s mod %d**%d, "
-            "but s is known mod %d**%d" % (p, need, p, s.abs_precision))
-    return r, exponent, v_den, min(level - v_den, n_req)
+    r, v_r, v_den = _point_plan(s, p, kappa0, regulator)
+    digits = level + v_den
+    need = max(level - _q_digits(p), digits - v_r)
+    if isinstance(s, PadicNumber):
+        if not s.is_exact_zero and s.abs_precision < need:
+            raise PrecisionExhaustedError(
+                "zeta_measure needs s mod %d**%d, but s is known mod %d**%d"
+                % (p, need, p, s.abs_precision))
+        s = s.residue(need)
+    mod = p**digits
+    w = _teichmuller_residue(p, r % p**_q_digits(p), digits)
+    angle = r * pow(w, _torsion_order(p) - 1, mod)
+    prefactor = pow(angle, (1 - s) % p**need, mod) * pow(w, kappa0, mod) - 1
+    return (r, -s % p**(level - _q_digits(p)), prefactor % mod, v_den,
+            min(level - v_den, n_req))
 
 
 def zeta_measure(s, branch: Branch, regulator: int | None = None,
@@ -400,16 +389,17 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
                  precision: int | None = None) -> ZetaBranchEval:
     """Riemann-sum evaluation of the branch zeta function at s in Z_p.
 
-    The run step of _plan: the prefactor mod p^(level + v_den), the class
-    sums mod p^level and one division, whose quotient is known to
-    p^(level - v_den).  The value is cut at error_bound_exponent, that
-    exponent or precision if lower, so it carries no uncertified digit.
+    The run step of _plan: the class sums mod p^level and one division by
+    the prefactor, whose quotient is known to p^(level - v_den).  The value
+    is cut at error_bound_exponent, that exponent or precision if lower,
+    so it carries no uncertified digit.
     """
     p, kappa0 = branch.prime, branch.kappa0
-    r, exponent, v_den, bound = _plan(s, branch, regulator, level, precision)
-    den = _prefactor_denominator(s, kappa0, r, p, level + v_den)
+    r, exponent, prefactor, v_den, bound = _plan(s, branch, regulator, level,
+                                                 precision)
     integral = PadicNumber._make(
         p, 0, _class_unit_sum(p, kappa0, exponent, r, level), level)
+    den = PadicNumber._make(p, 0, prefactor, level + v_den)
     return ZetaBranchEval(p, kappa0, s, r, level,
                           (integral / den).truncated_to(bound), bound,
                           "measure")

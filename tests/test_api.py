@@ -2,15 +2,20 @@
 take a prime refusing anything else quickly instead of hanging."""
 
 import random
+import re
 import signal
+
+from fractions import Fraction
 
 import pytest
 
 import padicosc
 from padicosc.errors import DomainError
+from padicosc.galois import fixed_generator
 from padicosc.operators import as_matrix
 from padicosc.padics import (PadicNumber, hensel_digits, n_minus, vp,
                              vp_factorial)
+from padicosc.series import basis_vector
 from padicosc.zeta import MazurMeasure, measure_value, total_mass
 
 PUBLIC_NAMES = {
@@ -79,3 +84,26 @@ def test_entries_refuse_a_non_prime_within_an_alarm(call):
                 signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+# a float precision built float-unit numbers, <5-adic 3.0*5^0 + O(5^4.0)>,
+# where from_rational raised a bare TypeError; None is refused too, save
+# by fixed_generator, whose own default it is
+PRECISION_ENTRIES = (
+    lambda n: fixed_generator(5, n),
+    lambda n: PadicNumber.one(5, n),
+    lambda n: PadicNumber.from_int(3, 5, n),
+    lambda n: PadicNumber.from_int(0, 5, n),
+    lambda n: PadicNumber.from_rational(1, 3, 5, n),
+    lambda n: PadicNumber.from_fraction(Fraction(1, 3), 5, n),
+    lambda n: basis_vector(5, 1, 3, n),
+    lambda n: as_matrix("raising", 3, 5, n),
+)
+
+
+@pytest.mark.parametrize("call", range(len(PRECISION_ENTRIES)))
+def test_entries_refuse_a_non_int_precision(call):
+    for n in (4.0, 2.5, True, "4") + ((None,) if call else ()):
+        message = "^precision must be an integer, got %s$" % re.escape(repr(n))
+        with pytest.raises(DomainError, match=message):
+            PRECISION_ENTRIES[call](n)

@@ -229,9 +229,10 @@ def test_exit_table_resolves_each_class_to_its_row(capsys, monkeypatch):
 def test_precision_exhaustion_exit_2(capsys, monkeypatch):
     # no argv exhausts precision now that zeta-measure sums mod p^level
     # (--p 3 --precision 4 zeta-measure 3188646 certifies its value), so
-    # zeta-measure gets s as a p-adic number of one digit: the exponent of
-    # <a>^(-s) at level 5 needs four, and the library's own error reaches
-    # the exit table
+    # zeta-measure gets s as a p-adic number of one digit: at level 5 the
+    # exponent of <a>^(-s) needs four digits and the prefactor, made mod
+    # 3^(5 + 1) with v(<2> - 1) = 1, five; the plan's one error reaches the
+    # exit table
     def one_digit_s(s, branch, **kwargs):
         short = PadicNumber.from_int(s, branch.prime, 1)
         return cli_zeta_measure(short, branch, **kwargs)
@@ -240,7 +241,7 @@ def test_precision_exhaustion_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "zeta_measure", one_digit_s)
     rc, _, err = run(capsys, "--p", "3", "zeta-measure", "2")
     assert rc == 2 and err == (
-        "precision exhausted: the exponent of <a>^(-s) needs s mod 3**4, "
+        "precision exhausted: zeta_measure needs s mod 3**5, "
         "but s is known mod 3**1\n")
 
 

@@ -182,8 +182,15 @@ def test_expand_binomial():
 
 
 def test_expand_requires_enough_samples():
-    with pytest.raises(DomainError):
-        mahler_expand([])
+    # the rule is one coefficient at least; the message read "need at
+    # least 0 consecutive samples" (-3 with truncation=-3)
+    g = convert(mahler_expand(ints(5, [1, 2, 3])))
+    for call, got in ((lambda: mahler_expand([]), 0),
+                      (lambda: convert_back(g, 0), 0),
+                      (lambda: convert_back(g, -3), -3)):
+        with pytest.raises(DomainError,
+                           match="^truncation must be >= 1, got %d$" % got):
+            call()
 
 
 def test_mahler_uniqueness_roundtrip():

@@ -407,13 +407,17 @@ def _outcome(f, *args):
 
 
 def test_integer_prefactor_matches_padic_formula():
+    # the plan's integer prefactor, mod p^(level + v_den), against the
+    # PadicNumber formula; where the plan raises, s is 1, or it is known
+    # apart from 1 no further than the pole, or it is too short for the
+    # exponent, or the formula, at the v_den of a lift of s, raises too
     rng = random.Random(2017)
     raised = 0
     for _ in range(2500):
         p = rng.choice((2, 3, 5, 7, 11, 13))
-        r = rng.choice([r for r in range(-40, 41) if r % p])
-        kappa0 = rng.randrange(2 if p == 2 else p - 1)
-        digits = rng.randrange(2, 40)
+        r = rng.choice([r for r in range(-40, 41) if r % p and abs(r) > 1])
+        kappa0 = rng.randrange(0, 2 if p == 2 else p - 1, 2)
+        level = rng.randrange(2, 40)
         kind = rng.randrange(3)
         if kind == 0:
             s = rng.randrange(-60, 61)
@@ -423,29 +427,42 @@ def test_integer_prefactor_matches_padic_formula():
             s = PadicNumber._make(p, v, rng.randrange(1, p**n), n)
         else:
             s = PadicNumber.zero(p, known_to=rng.randrange(0, 45))
-        args = (s, kappa0, r, p, digits)
-        got = _outcome(zeta._prefactor_denominator, *args)
-        assert got == _outcome(_padic_prefactor, *args), args
-        raised += isinstance(got, type)
+        args = (s, Branch(p, kappa0), r, level, None)
+        got = _outcome(zeta._plan, *args)
+        if isinstance(got, type):
+            raised += 1
+            if got is PoleError or (s - 1).is_zero:
+                assert s == 1 or (s - 1).is_zero, args
+                continue
+            assert got is PrecisionExhaustedError, (got, args)
+            known = s.abs_precision
+            lift = PadicNumber._make(p, 0, s.residue(known), known + 80)
+            v_den = zeta._plan(lift, *args[1:])[3]
+            assert (known < level - (2 if p == 2 else 1) or _outcome(
+                _padic_prefactor, s, kappa0, r, p, level + v_den)
+                is PrecisionExhaustedError), args
+            continue
+        digits = level + got[3]
+        want = _padic_prefactor(s, kappa0, r, p, digits)
+        assert got[2] == want.residue(digits), args
     assert 0 < raised < 2000, raised
 
 
 def test_prefactor_precision_error_names_s():
     # w(2)^0 = 1, so v_den = v(<2> - 1) + v(1 - s) = 1 and the prefactor is
-    # made mod 5**(3 + 1); it reads s mod 5**(4 - v(<2> - 1)), and this s
-    # has 2 digits, enough for the exponent mod 5**2
+    # made mod 5**(3 + 1); it reads s mod 5**(4 - v(<2> - 1)), one digit
+    # more than the exponent mod 5**2
     s = PadicNumber.from_int(-1, 5, 2)
     with pytest.raises(PrecisionExhaustedError) as info:
         zeta_measure(s, Branch(5, 0), level=3, precision=10)
     assert str(info.value) == (
-        "the prefactor <r>^(1-s) w(r)^kappa0 - 1 needs s mod 5**3, "
-        "but s is known mod 5**2")
+        "zeta_measure needs s mod 5**3, but s is known mod 5**2")
 
 
 def test_point_plan_valuation_matches_the_prefactor():
-    # v_den in closed form against the valuation of the prefactor itself,
-    # made with 30 digits past it from an s that carries 80, on the even
-    # branches zeta serves
+    # v_r and v_den in closed form against the valuations of <r> - 1 and
+    # of the plan's prefactor itself, made with 30 digits past v_den from
+    # an s that carries 80, on the even branches zeta serves
     rng = random.Random(26)
     for _ in range(1500):
         p = rng.choice((2, 3, 5, 7, 11, 13))
@@ -456,9 +473,58 @@ def test_point_plan_valuation_matches_the_prefactor():
         else:
             v = rng.randrange(3)
             s = PadicNumber._make(p, v, rng.randrange(1, p**80), 80 - v)
-        _, v_den = zeta._point_plan(s, p, kappa0, r)
-        den = zeta._prefactor_denominator(s, kappa0, r, p, v_den + 30)
-        assert not den.is_zero and den.valuation == v_den, (s, p, r, kappa0)
+        _, v_r, v_den = zeta._point_plan(s, p, kappa0, r)
+        x = PadicNumber.from_int(r, p, 40)
+        assert (x / teichmuller(x) - 1).valuation == v_r, (p, r)
+        prefactor = zeta._plan(s, Branch(p, kappa0), r, 30, None)[2]
+        assert prefactor and vp(prefactor, p) == v_den, (s, p, r, kappa0)
+
+
+def _planned_digits_draw(rng):
+    """(p, kappa0, r, level, s0): s0 an int that is not the pole; r is
+    small, or at odd p a lift of w(c) mod p^2, whose <r> - 1 has v >= 2."""
+    p = rng.choice((2, 3, 5, 7, 11, 13))
+    kappa0 = rng.randrange(0, 2 if p == 2 else p - 1, 2)
+    if p > 2 and rng.randrange(2):
+        r = pow(rng.randrange(1, p), p, p * p) + p * p * rng.randrange(1, 3)
+    else:
+        r = rng.choice([r for r in range(-40, 41) if r % p and abs(r) > 1])
+    level = rng.randrange(3 if p == 2 else 2, 7)
+    return p, kappa0, r, level, rng.choice([s for s in range(-60, 61)
+                                            if s != 1])
+
+
+def test_s_with_the_planned_digits_certifies_one_fewer_raises():
+    # the plan reads s to max(level - v_p(q), level + v_den - v_r) digits,
+    # the exponent's and the prefactor's; here v_r and v_den are read off
+    # the PadicNumber formula.  With exactly that many digits s gives the
+    # value of its integer representative, with one fewer the one error
+    rng = random.Random(29)
+    sets = {"exponent": 0, "prefactor": 0}
+    for _ in range(300):
+        p, kappa0, r, level, s0 = _planned_digits_draw(rng)
+        x = PadicNumber.from_int(r, p, 60)
+        v_r = (x / teichmuller(x) - 1).valuation
+        v_den = _padic_prefactor(s0, kappa0, r, p, 60).valuation
+        by_exponent = level - (2 if p == 2 else 1)
+        need = max(by_exponent, level + v_den - v_r)
+        if need != level + v_den - v_r:
+            sets["exponent"] += 1
+        elif need != by_exponent:
+            sets["prefactor"] += 1
+        branch = Branch(p, kappa0)
+        exact = zeta_measure(s0, branch, r, level, 20)
+        ev = zeta_measure(PadicNumber._make(p, 0, s0, need), branch, r,
+                          level, 20)
+        assert (ev.value, ev.error_bound_exponent) == (
+            exact.value, exact.error_bound_exponent), (p, kappa0, r, s0)
+        with pytest.raises(PrecisionExhaustedError) as info:
+            zeta_measure(PadicNumber._make(p, 0, s0, need - 1), branch, r,
+                         level, 20)
+        assert str(info.value) == (
+            "zeta_measure needs s mod %d**%d, but s is known mod %d**%d"
+            % (p, need, p, need - 1))
+    assert min(sets.values()) >= 40, sets
 
 
 def _lift(rng, x):
@@ -496,12 +562,14 @@ def test_zeta_measure_values_survive_lifts_of_s():
 
 @pytest.mark.parametrize("name,value", [
     ("precision", 20.0), ("level", 3.0), ("regulator", 2.0),
-    ("precision", True), ("level", True), ("level", None)])
+    ("precision", True), ("level", True), ("level", None), ("s", True)])
 def test_zeta_measure_settings_must_be_ints(name, value):
-    # a float reached pow() as a bare TypeError, and True ran as 1
-    kwargs = {"level": 3, "precision": 8, name: value}
+    # a float reached pow() as a bare TypeError, and True ran as 1 (as s,
+    # into a record that zeta_report_from_dict refuses)
+    kwargs = {"s": -1, "branch": Branch(5, 2), "level": 3, "precision": 8,
+              name: value}
     with pytest.raises(DomainError, match="^%s must be an integer" % name):
-        zeta_measure(-1, Branch(5, 2), **kwargs)
+        zeta_measure(**kwargs)
 
 
 def _unit_value(a):
@@ -515,22 +583,33 @@ def _unit_value(a):
     ("level", lambda: MazurMeasure.build(5, 2, 1.0)),
     ("precision", lambda: measure_value(1, 2, 2, 5, precision=3.0)),
     ("level", lambda: measure_value(1, True, 2, 5)),
-    ("a", lambda: measure_value(True, 2, 2, 5))])
+    ("a", lambda: measure_value(True, 2, 2, 5)),
+    ("k", lambda: bernoulli(True)),
+    ("k", lambda: bernoulli(2.0)),
+    ("k", lambda: zeta_interp(2.0, Branch(5, 2))),
+    pytest.param("precision", lambda: zeta_interp(2, Branch(5, 2), 4.0),
+                 id="precision-zeta_interp"),
+    pytest.param("s", lambda: zeta_measure(True, Branch(5, 0), level=3),
+                 id="s-pole_branch"),
+    pytest.param("exponent",
+                 lambda: unit_power(PadicNumber.from_int(6, 5, 8), True),
+                 id="exponent-unit_power")])
 def test_measure_settings_must_be_ints(name, call):
     # as for zeta_measure: a float raised a bare TypeError, True ran as 1
+    # (bernoulli(True) was B_1, and at s = True Branch(5, 0) met its pole)
     with pytest.raises(DomainError, match="^%s must be an integer" % name):
         call()
 
 
 def test_exponent_precision_error_names_s():
-    # the sum runs mod 2**5, where <a> has order 2**3, so the exponent -s
-    # is needed mod 2**3; s = 3 mod 4 is known apart from the pole at 1
-    s = PadicNumber._make(2, 0, 419, 2)
+    # the sum runs mod 5**5, where <a> has order 5**4, so the exponent -s
+    # is needed mod 5**4; w(7)^2 = 4 mod 5 makes the prefactor a unit, and
+    # v(<7> - 1) = 2 lets it read s mod 5**(5 - 2) only
+    s = PadicNumber._make(5, 0, 419, 3)
     with pytest.raises(PrecisionExhaustedError) as info:
-        zeta_measure(s, Branch(2, 0), regulator=33, level=5, precision=3)
+        zeta_measure(s, Branch(5, 2), regulator=7, level=5, precision=3)
     assert str(info.value) == (
-        "the exponent of <a>^(-s) needs s mod 2**3, "
-        "but s is known mod 2**2")
+        "zeta_measure needs s mod 5**4, but s is known mod 5**3")
 
 
 @pytest.mark.parametrize("p,kappa0,k,level", [
@@ -653,10 +732,11 @@ def test_plan_runs_no_kernel(monkeypatch):
         raise AssertionError("a kernel ran in the plan")
 
     monkeypatch.setattr(zeta, "_class_unit_sum", refuse)
-    r, exponent, v_den, bound = zeta._plan(2, Branch(7, 2), None, 30, 32)
+    r, exponent, prefactor, v_den, bound = zeta._plan(2, Branch(7, 2), None,
+                                                      30, 32)
     assert (r, exponent) == (3, 7**29 - 2)
     # w(3)^2 = 2 mod 7: the prefactor is a unit, and the bound the level
-    assert v_den == 0 and bound == 30
+    assert v_den == 0 and bound == 30 and prefactor % 7
 
 
 def _per_unit_pow_sum(p, kappa0, exponent, r, level, digits):
@@ -844,7 +924,7 @@ def test_zeta_measure_remakes_a_deep_prefactor():
     p, r, precision = 5, 26 * 5**7 + 1, 8
     branch = Branch(p, 2)
     plan = zeta._plan(-1, branch, r, 2, precision)
-    assert plan[2:4] == (7, 2 - 7)
+    assert plan[2:] == ((r * r - 1) % p**9, 7, 2 - 7)
     for level in (2, 3):
         integral = integrate_units(lambda a: PadicNumber.from_int(a, p, 40),
                                    level, r, p, 40)
