@@ -284,8 +284,6 @@ def _cmd_kernel(ns, cfg: RunConfig) -> tuple[dict, str]:
 
 
 def _matrix_line(t: int, a) -> str:
-    if not a.entries:
-        return "t=%d: 0" % t
     cells = "; ".join("(%d,%d) %s" % (i, j, padic_to_text(v))
                       for i, j, v in a.entries)
     return "t=%d: %s" % (t, cells)

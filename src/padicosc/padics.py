@@ -12,9 +12,9 @@ modulus 1 and _make returns zero(known_to=valuation + precision).
 Operations that must distinguish it from a small nonzero number raise
 PrecisionExhaustedError instead of guessing.
 
-An int or Fraction operand is exact and enters through from_rational,
-at self's relative precision for * and / and at its absolute precision
-for + and -, so each operator has one formula.
+Every exact rational enters through from_rational and its one input
+check: from_int and one at denominator 1, an int or Fraction operand at
+self's relative precision for * and / and its absolute one for + and -.
 
 Also provided: Hensel digit expansions, the decomposition
 Z_p^* = mu_phi(q) x (1 + qZ_p) (q = p, or 4 when p = 2): the Teichmuller
@@ -210,9 +210,7 @@ class PadicNumber(_Frozen):
 
     @classmethod
     def one(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        _require_prime(p)
-        _require_ints(precision=precision)
-        return cls._make(p, 0, 1, precision)
+        return cls.from_rational(1, 1, p, precision)
 
     @classmethod
     def _make(cls, p: int, valuation: int, unit: int, precision: int) -> "PadicNumber":
@@ -242,27 +240,23 @@ class PadicNumber(_Frozen):
 
     @classmethod
     def from_int(cls, n: int, p: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
-        _require_prime(p)
-        _require_ints(precision=precision)
-        if n == 0:
-            return cls.zero(p)
-        v, u = _split(n, p)
-        return cls._make(p, v, u, precision)
+        return cls.from_rational(n, 1, p, precision)
 
     @classmethod
     def from_rational(cls, num: int, den: int, p: int,
                       precision: int = DEFAULT_PRECISION) -> "PadicNumber":
+        """num/den to precision digits; every exact rational enters here."""
+        _require_prime(p)
+        _require_ints(num=num, den=den, precision=precision)
         if den == 0:
             raise DomainError("zero denominator")
-        _require_prime(p)
-        _require_ints(precision=precision)
         if num == 0:
             return cls.zero(p)
-        vn, nu = _split(num, p)
+        vn, u = _split(num, p)
         vd, du = _split(den, p)
-        # precision <= 0 gives the marker O(p^(v + precision)), as from_int
-        inverse = pow(du, -1, p**max(precision, 0))
-        return cls._make(p, vn - vd, nu * inverse, precision)
+        if du != 1:     # modulus 1 at precision <= 0: _make returns the marker
+            u *= pow(du, -1, p**max(precision, 0))
+        return cls._make(p, vn - vd, u, precision)
 
     @classmethod
     def from_fraction(cls, q: Fraction, p: int,
@@ -355,10 +349,9 @@ class PadicNumber(_Frozen):
             raise DomainError("prime mismatch: %d vs %d" % (self.prime, other.prime))
 
     def __neg__(self) -> "PadicNumber":
-        if self.is_zero:
+        if self.is_exact_zero:
             return self
-        m = self.prime**self.precision
-        return PadicNumber(self.prime, self.valuation, (-self.unit) % m, self.precision)
+        return PadicNumber._make(self.prime, self.valuation, -self.unit, self.precision)
 
     def _embed(self, q, n: int) -> "PadicNumber":
         """The exact int or Fraction q known to max(n, 1) digits: n is
@@ -413,8 +406,7 @@ class PadicNumber(_Frozen):
         return PadicNumber._make(p, self.valuation + other.valuation,
                                  self.unit * other.unit, m)
 
-    def __rmul__(self, other) -> "PadicNumber":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "PadicNumber":
         if not isinstance(other, PadicNumber):
@@ -504,13 +496,13 @@ def _torsion_order(p: int) -> int:
     return p ** (_q_digits(p) - 1) * (p - 1)
 
 
-def _check_exponent(s, p: int, name: str) -> None:
-    """Raise DomainError unless s is an int (not a bool) or a PadicNumber in
-    Z_p at the prime p; name is the caller's word for s in the message."""
+def _check_point(s, p: int, name: str, in_zp: bool = True) -> None:
+    """Raise DomainError unless s is an int (not a bool) or a PadicNumber at
+    the prime p, in Z_p if in_zp; name is the caller's word for s."""
     if isinstance(s, PadicNumber):
         if s.prime != p:
             raise DomainError("%s lives in a different Q_p" % name)
-        if not s.is_zero and s.valuation < 0:
+        if in_zp and not s.is_zero and s.valuation < 0:
             raise DomainError("%s must lie in Z_p" % name)
     elif not isinstance(s, int) or isinstance(s, bool):
         raise DomainError("%s must be an integer or a PadicNumber, got %r"
@@ -558,7 +550,7 @@ def unit_power(u: PadicNumber, s, precision: int | None = None) -> PadicNumber:
     p = u.prime
     if u.is_zero or u.valuation != 0 or u.residue(_q_digits(p)) != 1:
         raise DomainError("unit_power needs u in 1 + qZ_p")
-    _check_exponent(s, p, "exponent")
+    _check_point(s, p, "exponent")
     n_out = u.precision if precision is None else min(precision, u.precision)
     t = u - 1
     if t.is_zero:

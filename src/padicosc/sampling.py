@@ -36,10 +36,7 @@ def random_unit(rng: random.Random, p: int, precision: int) -> PadicNumber:
 
 
 def random_mahler_series(rng: random.Random, p: int, truncation: int,
-                         precision: int,
-                         tail_bound_exponent: int | None = None
-                         ) -> MahlerSeries:
+                         precision: int) -> MahlerSeries:
     coeffs = tuple(random_padic(rng, p, precision)
                    for _ in range(truncation))
-    return MahlerSeries(prime=p, coefficients=coeffs,
-                        tail_bound_exponent=tail_bound_exponent)
+    return MahlerSeries(prime=p, coefficients=coeffs)

@@ -34,6 +34,7 @@ from .errors import DomainError, PrecisionExhaustedError
 from .padics import (
     PadicNumber,
     _Frozen,
+    _check_point,
     _row,
     _row_sum,
     _split,
@@ -213,8 +214,6 @@ def _mahler_terms(f: MahlerSeries, x: Point) -> list:
                 terms.append((r[0] + v, r[1] * u, r[2] + v))
         return terms
     top = max((n + 1 for n, r in enumerate(rows) if r is not None), default=0)
-    if top and x.prime != p:
-        raise DomainError("prime mismatch: %d vs %d" % (p, x.prime))
     for r, (v, u, m) in zip(rows[:top], _basis_values(x, top)):
         if r is not None:
             n = r[2] + v
@@ -224,25 +223,32 @@ def _mahler_terms(f: MahlerSeries, x: Point) -> list:
 
 def mahler_eval(f: MahlerSeries, x: Point) -> PadicNumber:
     """Value of the truncated sum at x (precision: module docstring)."""
+    _check_point(x, f.prime, "x", in_zp=False)
     return PadicNumber._sum(f.prime, _mahler_terms(f, x))
 
 
-def _mahler_series(p: int, samples: list, truncation: int,
-                   tail: int | None = None) -> MahlerSeries:
-    """c_n = (Delta^n f)(0), n < truncation, from the rows of f(0), f(1),
-    ...; tail bound: the least of tail and the norms past the window.
-    The difference table runs on integers scaled to p**vmin, and c_n is
+def _sample_rows(samples: Sequence[PadicNumber]) -> tuple:
+    """(p, rows) of one or more samples, all at the prime p."""
+    samples = list(samples)
+    if not samples:
+        raise DomainError("truncation must be >= 1, got 0")
+    p = samples[0].prime
+    if any(s.prime != p for s in samples):
+        raise DomainError("sample prime mismatch")
+    return p, [_row_of(s) for s in samples]
+
+
+def _mahler_series(p: int, samples: list, tail: int | None = None) -> MahlerSeries:
+    """c_n = (Delta^n f)(0), one per row of f(0), f(1), ...: the
+    difference table runs on integers scaled to p**vmin, and c_n is
     known to the least absprec of f(0), ..., f(n) (inf: exact zeros)."""
-    if truncation < 1:
-        raise DomainError("truncation must be >= 1, got %d" % truncation)
     vmin = min((r[0] for r in samples if r is not None), default=0)
     diffs = [0 if r is None else r[1] * p ** (r[0] - vmin) for r in samples]
     rows = []
     for known in accumulate((inf if r is None else r[2] for r in samples), min):
         rows.append(_row(p, vmin, diffs[0], known))
         diffs = list(map(sub, diffs[1:], diffs))
-    tail = _min_exponent(tail, *(r[0] for r in rows[truncation:] if r))
-    return MahlerSeries._from_rows(p, rows[:truncation], tail)
+    return MahlerSeries._from_rows(p, rows, tail)
 
 
 def mahler_expand(samples: Sequence[PadicNumber]) -> MahlerSeries:
@@ -252,9 +258,7 @@ def mahler_expand(samples: Sequence[PadicNumber]) -> MahlerSeries:
     One coefficient per sample and no tail: the series is the polynomial
     through the samples.
     """
-    samples = list(samples)
-    return _mahler_series(samples[0].prime if samples else None,
-                          [_row_of(s) for s in samples], len(samples))
+    return _mahler_series(*_sample_rows(samples))
 
 
 # -- van der Put basis -------------------------------------------------
@@ -308,6 +312,7 @@ def _vdp_terms(g: VanDerPutSeries, x: Point) -> list:
 
 
 def vdp_eval(g: VanDerPutSeries, x: Point) -> PadicNumber:
+    _check_point(x, g.prime, "x", in_zp=False)
     return PadicNumber._sum(g.prime, _vdp_terms(g, x))
 
 
@@ -323,10 +328,7 @@ def _vdp_series(p: int, samples: list, tail: int | None = None) -> VanDerPutSeri
 
 def vdp_expand(samples: Sequence[PadicNumber]) -> VanDerPutSeries:
     """v_0 = f(0) and v_n = f(n) - f(n_minus), from samples at 0..M-1."""
-    samples = list(samples)
-    if not samples:
-        raise DomainError("need at least one sample")
-    return _vdp_series(samples[0].prime, [_row_of(s) for s in samples])
+    return _vdp_series(*_sample_rows(samples))
 
 
 # -- conversion and norm -----------------------------------------------
@@ -390,9 +392,11 @@ def convert_back(g: VanDerPutSeries, truncation: int | None = None) -> MahlerSer
     """
     p, rows = g.prime, g._rows
     m = g.truncation if truncation is None else truncation
+    if m < 1:
+        raise DomainError("truncation must be >= 1, got %d" % m)
     samples, low = [_row_sum(p, filter(None, rows[:1]))], 1    # low = p**s
     for k in range(1, m):
         low = k if k == low * p else low
         v, below = rows[k] if k < len(rows) else None, samples[k % low]
         samples.append(_row_sum(p, filter(None, (below, v))) if v else below)
-    return _mahler_series(p, samples, m, sup_norm_exponent(g))
+    return _mahler_series(p, samples, sup_norm_exponent(g))

@@ -40,7 +40,7 @@ from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
     _Frozen,
-    _check_exponent,
+    _check_point,
     _q_digits,
     _require_ints,
     _require_prime,
@@ -366,7 +366,7 @@ def _plan(s, branch: Branch, regulator: int | None, level: int,
         raise DomainError("level %d too small for p = %d" % (level, p))
     if n_req < 1:
         raise DomainError("precision must be positive")
-    _check_exponent(s, p, "s")
+    _check_point(s, p, "s")
     r, v_r, v_den = _point_plan(s, p, kappa0, regulator)
     digits = level + v_den
     need = max(level - _q_digits(p), digits - v_r)

@@ -173,6 +173,14 @@ def test_zeta_table_rejects_kmax_below_one(capsys):
         rc, out, err = run(capsys, "zeta-table", kmax)
         assert rc == 1 and out == ""
         assert err.startswith("usage error") and "kmax" in err
+    # as do the other counts and ranges a subcommand takes
+    for args, needle in ((("commutator-check", "--trials", "0"), "--trials must be positive"),
+                         (("zeta-measure", "2", "--levels", "3-5"), "expects A..B"),
+                         (("zeta-measure", "2", "--levels", "a..5"), "expects integers"),
+                         (("zeta-measure", "2", "--levels", "4..3"), "is empty")):
+        rc, out, err = run(capsys, *args)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error") and needle in err
 
 
 # -- exit codes and diagnostics ----------------------------------------
@@ -403,6 +411,21 @@ def test_config_file_errors(capsys, tmp_path):
 
     rc, _, err = run(capsys, "--config", str(tmp_path / "nope"), "zeta-interp", "2")
     assert rc == 1 and err.startswith("config error")
+
+    # a config file bypasses argparse's types and choices; RunConfig
+    # checks them, and a null seed or regulator is their default
+    for loaded, needle in (([5], "must hold a JSON object"),
+                           ({"output": "xml"}, "output must be 'text' or 'json', got 'xml'"),
+                           ({"p": "5"}, "p must be an integer, got '5'"),
+                           ({"m": True}, "m must be an integer, got True"),
+                           ({"seed": None, "regulator": None}, None)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        rc, _, err = run(capsys, "--config", str(cfg), "teichmuller", "3")
+        if needle is None:
+            assert rc == 0, err
+        else:
+            assert rc == 1 and err.startswith("config error") and needle in err
 
 
 def test_ci_mode_requires_explicit_seed(capsys, monkeypatch):

@@ -95,6 +95,8 @@ def test_t_of_rejects_non_units():
         t_of(PadicNumber.from_int(10, 5, 8))
     with pytest.raises(DomainError):
         t_of(PadicNumber.zero(5))
+    with pytest.raises(DomainError, match="needs an explicit prime"):
+        t_of(4)
 
 
 def test_t_of_inverts_generator_powers():
@@ -113,6 +115,9 @@ def test_element_consistency():
             el = GaloisElement.from_unit(random_unit(rng, p))
             assert 0 <= el.t <= p - 2
             assert consistent(el)
+    for t in (-1, 4):
+        with pytest.raises(DomainError, match="^t out of range$"):
+            GaloisElement(5, PadicNumber.one(5, 8), t)
 
 
 # -- branches ------------------------------------------------------------
@@ -168,6 +173,12 @@ def test_rho_trivial_cases():
     for k0 in range(4):
         same = rho_apply(Branch(5, k0), one, state)
         assert (same.scale - state.scale).is_zero
+    for call in (lambda: rho_apply(Branch(7, 1), el, state),
+                 lambda: rho_apply(Branch(5, 1), el, GroundState.canonical(7)),
+                 lambda: rho_prime_apply(Branch(7, 1), 1,
+                                         as_matrix("raising", 4, 5, 8))):
+        with pytest.raises(DomainError, match="^mismatched primes$"):
+            call()
 
 
 def test_rho_scales_by_teichmuller():

@@ -41,6 +41,8 @@ COMMANDS = (
     "--p 2 --precision 20 zeta-measure 4 --levels 2..8",
     "--p 3 --regulator 5 zeta-measure 6 --levels 1..4",
     "--p 3 --precision 4 zeta-measure 3188646",
+    "--p 5 teichmuller 2",
+    "--p 7 --kappa0 2 zeta-table 30",
     "apply raising {series}",
     "apply lowering {series}",
     "apply hamiltonian {series}",

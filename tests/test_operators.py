@@ -20,6 +20,7 @@ from padicosc.operators import (
     hamiltonian,
     kernel_solve,
     mat_scale,
+    matrices_agree,
     OPERATOR_NAMES,
 )
 from matrix_helpers import gauss_jordan_kernel, identity_matrix, mat_add
@@ -241,6 +242,10 @@ def test_matrix_scale_and_mismatch():
     other = as_matrix("raising", 5, 5, 8)
     with pytest.raises(DomainError):
         mat_add(mat, other)
+    assert not matrices_agree(mat, doubled)
+    for b in (other, as_matrix("raising", 4, 7, 8)):
+        with pytest.raises(DomainError, match="shape or prime mismatch"):
+            matrices_agree(mat, b)
     with pytest.raises(DomainError):
         as_matrix("squaring", 4, 5, 8)
 

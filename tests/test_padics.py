@@ -13,6 +13,7 @@ import pytest
 from padicosc.errors import DomainError, PadicError, PrecisionExhaustedError
 from padicosc.padics import (
     PadicNumber,
+    _split,
     angle,
     digit_sum,
     hensel_digits,
@@ -120,6 +121,55 @@ def test_from_rational_examples():
 
     with pytest.raises(DomainError):
         PadicNumber.from_rational(1, 0, 5, 4)
+    # a float numerator made a float unit, <5-adic 2.5*5^0 + O(5^4)>, and a
+    # float numerator over 2 <5-adic 469.5*5^0 + O(5^4)>
+    for call, name, got in (
+            (lambda: PadicNumber.from_int(2.5, 5, 4), "num", 2.5),
+            (lambda: PadicNumber.from_rational(1.5, 2, 5, 4), "num", 1.5),
+            (lambda: PadicNumber.from_rational(1, 2.0, 5, 4), "den", 2.0),
+            (lambda: PadicNumber.from_rational(True, 3, 5, 4), "num", True),
+            (lambda: PadicNumber.from_int("7", 5, 4), "num", "7")):
+        with pytest.raises(DomainError,
+                           match="^%s must be an integer, got %r$" % (name, got)):
+            call()
+
+
+def parent_from_int(n, p, precision):
+    """from_int and one as they stood before they called from_rational."""
+    if n == 0:
+        return PadicNumber.zero(p)
+    v, u = _split(n, p)
+    return PadicNumber._make(p, v, u, precision)
+
+
+def parent_neg(x):
+    """__neg__ as it stood before it built through _make."""
+    if x.is_zero:
+        return x
+    m = x.prime**x.precision
+    return PadicNumber(x.prime, x.valuation, (-x.unit) % m, x.precision)
+
+
+def test_integer_embedding_matches_the_parent_bodies():
+    # from_int and one are from_rational at denominator 1 and -x is
+    # _make of -unit; values, reprs and known_to must be those of the
+    # bodies they replaced, at markers (precision <= 0) and exact zeros
+    rng = random.Random(30)
+    primes = (2, 3, 5, 7, 11, 13)
+    for _ in range(100_000):
+        p, kind, precision = rng.choice(primes), rng.randrange(3), rng.randint(-3, 40)
+        if kind == 0:
+            n = 0
+        elif kind == 1:
+            n = rng.randint(-10**12, 10**12)
+        else:
+            n = rng.choice((1, -1)) * p ** rng.randrange(30) * rng.randint(1, 99)
+        x, y = PadicNumber.from_int(n, p, precision), parent_from_int(n, p, precision)
+        pairs = ((x, y), (-x, parent_neg(y)),
+                 (PadicNumber.one(p, precision), parent_from_int(1, p, precision)))
+        for got, want in pairs:
+            assert (got == want and repr(got) == repr(want)
+                    and got.known_to == want.known_to), (n, p, precision)
 
 
 def test_from_rational_at_nonpositive_precision_is_a_marker():

@@ -117,6 +117,9 @@ def test_series_dict_shape_and_round_trip():
         PadicNumber.from_int(1, 7, 8))]),
     lambda d: d.update(tail_bound_exponent="none"),
     lambda d: d.pop("coefficients"),
+    lambda d: d.update(coefficients="none"),
+    lambda d: d["coefficients"].__setitem__(0, padic_to_dict(
+        PadicNumber.from_int(1, 7, 8))),
 ])
 def test_series_malformed_rejected(mangle):
     d = series_to_dict(MahlerSeries(prime=5, coefficients=ints(5, [1, 2])))
@@ -142,6 +145,9 @@ def test_series_file_bad_line_reports_position():
     lines[2] = "{ not json"
     with pytest.raises(InputFormatError, match="line 3"):
         parse_series_file("\n".join(lines))
+    for text in ("", "\n \n"):
+        with pytest.raises(InputFormatError, match="^series file: empty file$"):
+            parse_series_file(text)
 
 
 def test_samples_file_round_trip_and_header_checks():
@@ -189,6 +195,7 @@ def test_matrix_dict_shape():
     lambda d: d["rows"][0].__setitem__(1, -1),
     lambda d: d["rows"].append([0, 0]),
     lambda d: d.update(M=0, rows=[]),
+    lambda d: d.update(rows="none"),
 ])
 def test_matrix_malformed_rejected(mangle):
     d = matrix_to_dict(as_matrix("raising", 4, 5, 8))
@@ -208,6 +215,9 @@ def test_orbit_report_round_trip():
     assert (p, kappa0, per) == (5, 2, 2)
     assert len(back) == len(mats)
     assert all(matrices_agree(x, y) for x, y in zip(back, mats))
+    d["orbit"] = "none"
+    with pytest.raises(InputFormatError, match="'orbit' must be a list"):
+        orbit_from_dict(d)
 
 
 def test_zeta_report_round_trip_and_shape():
@@ -223,6 +233,9 @@ def test_zeta_report_round_trip_and_shape():
                          error_bound_exponent=None, path="interpolation")
     back = zeta_report_from_dict(zeta_report_to_dict(ev2))
     assert back == ev2 and isinstance(back.s, PadicNumber)
+    d["path"] = "guess"
+    with pytest.raises(InputFormatError, match="unknown path 'guess'"):
+        zeta_report_from_dict(d)
 
 
 def test_report_schema_version_checked():

@@ -127,6 +127,35 @@ def test_eval_single_basis_coefficient():
     assert mahler_eval(f, 3).agrees_with(PadicNumber.from_int(3, p, 16))
     x = PadicNumber.from_int(3, p, 16)
     assert mahler_eval(f, x).agrees_with(PadicNumber.from_int(3, p, 16))
+    # a point is an int or a number at the series' prime: a 3-adic 7 was
+    # read as 5-adic (g gave 47 where g(7) = 2*5^2), and a float point
+    # raised AttributeError
+    g = vdp_expand(ints(5, [i * i + 1 for i in range(10)], 8))
+    f = mahler_expand(g.coefficients)
+    assert vdp_eval(g, 7).agrees_with(PadicNumber.from_int(50, 5, 8))
+    for ev, series in ((mahler_eval, f), (vdp_eval, g)):
+        for point, message in (
+                (PadicNumber.from_int(7, 3, 8), "x lives in a different Q_p"),
+                (2.0, "x must be an integer or a PadicNumber, got 2.0"),
+                (True, "x must be an integer or a PadicNumber, got True")):
+            with pytest.raises(DomainError, match="^%s$" % message):
+                ev(series, point)
+    # samples at two primes, no sample, coefficients at two primes or none
+    mixed = [PadicNumber.from_int(1, 5, 4), PadicNumber.from_int(2, 3, 4)]
+    for call, message in (
+            (lambda: mahler_expand(mixed), "sample prime mismatch"),
+            (lambda: vdp_expand(mixed), "sample prime mismatch"),
+            (lambda: vdp_expand([]), "truncation must be >= 1, got 0"),
+            (lambda: MahlerSeries(5, mixed), "coefficient prime mismatch"),
+            (lambda: VanDerPutSeries(5, ()), "a series needs at least one "
+                                             "coefficient"),
+            (lambda: vdp_basis_eval(3, 7), "prime needed for integer points"),
+            (lambda: f + MahlerSeries(3, mixed[1:]), "prime mismatch"),
+            (lambda: f - basis_vector(3, 0, 10, 8), "prime mismatch")):
+        with pytest.raises(DomainError, match="^%s$" % message):
+            call()
+    with pytest.raises(TypeError):
+        f + g
 
 
 def test_eval_keeps_c0_precision_at_padic_points():

@@ -56,6 +56,8 @@ def test_bernoulli_small_values():
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+    with pytest.raises(DomainError, match="^negative Bernoulli index$"):
+        bernoulli(-1)
 
 
 def test_bernoulli_odd_vanish():
@@ -167,6 +169,13 @@ def test_measure_distribution_property():
         finest = MazurMeasure.build(p, r, 3, 14)
         assert coarse.refined_by(fine)
         assert fine.refined_by(finest)
+    coarse = MazurMeasure.build(3, 2, 1, 14)
+    for finer, message in ((MazurMeasure.build(3, 4, 2, 14), "measures do not match"),
+                           (MazurMeasure.build(5, 2, 2, 14), "measures do not match"),
+                           (MazurMeasure.build(3, 2, 3, 14),
+                            "refinement must be one level finer")):
+        with pytest.raises(DomainError, match="^%s$" % message):
+            coarse.refined_by(finer)
 
 
 def test_total_mass_closed_form():
