@@ -14,11 +14,14 @@ so the operations are gated to odd primes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
     _Frozen,
+    _check_point,
     is_primitive_root,
     is_prime,
     teichmuller,
@@ -37,9 +40,11 @@ def smallest_primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
+@lru_cache(maxsize=16, typed=True)
 def fixed_generator(p: int, precision: int | None = None) -> PadicNumber:
     """The distinguished primitive (p-1)-st root of unity: the
-    Teichmuller lift of the smallest primitive root mod p."""
+    Teichmuller lift of the smallest primitive root mod p, kept for the
+    last 16 keys (p, precision), so an orbit lifts it once."""
     n = DEFAULT_PRECISION if precision is None else precision
     g = smallest_primitive_root(p)
     return teichmuller(PadicNumber.from_int(g, p, n))
@@ -51,6 +56,8 @@ def t_of(alpha: PadicNumber | int, p: int | None = None) -> int:
     t is found by scanning the powers of g = smallest_primitive_root(p)
     for alpha mod p: p is small here, as Branch trial-divides it."""
     if isinstance(alpha, PadicNumber):
+        _check_point(alpha, alpha.prime if p is None else p, "alpha",
+                     in_zp=False)
         p = alpha.prime
         unit = not alpha.is_zero and alpha.valuation == 0
         alpha = alpha.residue(1) if unit else 0

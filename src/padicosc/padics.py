@@ -501,7 +501,8 @@ def _check_point(s, p: int, name: str, in_zp: bool = True) -> None:
     the prime p, in Z_p if in_zp; name is the caller's word for s."""
     if isinstance(s, PadicNumber):
         if s.prime != p:
-            raise DomainError("%s lives in a different Q_p" % name)
+            raise DomainError("%s lives in a different Q_p: %d-adic, p = %d"
+                              % (name, s.prime, p))
         if in_zp and not s.is_zero and s.valuation < 0:
             raise DomainError("%s must lie in Z_p" % name)
     elif not isinstance(s, int) or isinstance(s, bool):

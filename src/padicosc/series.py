@@ -270,10 +270,11 @@ def vdp_basis_eval(n: int, x: Point, p: int | None = None) -> int:
     For p**s <= n < p**(s+1) this is the congruence x = n mod p**(s+1),
     which needs s+1 known digits of x.
     """
+    if isinstance(x, PadicNumber):
+        _check_point(x, x.prime if p is None else p, "x", in_zp=False)
+        p = x.prime
     if n == 0:
         return 1
-    if isinstance(x, PadicNumber):
-        p = x.prime
     if p is None:
         raise DomainError("prime needed for integer points")
     s = len(hensel_digits(n, p)) - 1

@@ -20,9 +20,15 @@ runs mod p^N and the value, divided by the prefactor of valuation v_den,
 is cut at p^(N - v_den).  The plan fixes in plain integers, before any
 sum, the regulator, v_den in closed form, the exponent and the prefactor
 mod p^(N + v_den), all from one residue of s: a shorter s raises the one
-PrecisionExhaustedError.  What reads no level is the point plan, kept
-for the last 4 keys (s, p, kappa0, r), so the levels of one sweep plan
-their point once.
+PrecisionExhaustedError.  The run stays in integers up to the one
+PadicNumber it returns: the sum times one modular inverse, that of the
+prefactor's unit mod p^N, whose valuation is checked against v_den.
+
+Caches, each bounded, none holding a sum or a value: the point plan, the
+part that reads no level, for the last 4 keys (s, p, kappa0, r), so the
+levels of one sweep plan their point once; the disc constants for the
+last 64 keys (r, q); the binomial row C(e, i) for the last 32 sample
+exponents e.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .errors import DomainError, PoleError, PrecisionExhaustedError
+from .errors import (DomainError, PadicError, PoleError,
+                     PrecisionExhaustedError)
 from .padics import (
     DEFAULT_PRECISION,
     PadicNumber,
@@ -101,12 +108,20 @@ def _check_measure(level: int, regulator: int, p: int, **more) -> None:
         raise DomainError("level must be >= 0, got %d" % level)
 
 
-def _disc_constants(regulator: int, q: int, mod: int):
-    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
+@lru_cache(maxsize=64)
+def _disc_constants(regulator: int, q: int) -> tuple:
+    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half,
+    kept for the last 64 keys (r, q)."""
     rinv = pow(regulator, -1, q)
-    # half = (r-1)/2 mod p^digits; when r is even, p and so p^digits are odd
-    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
+    # half = (r - 1)/2 mod q; when r is even, p and so q are odd
+    half = (regulator - 1 + (0 if regulator % 2 else q)) // 2
     return rinv, (regulator * rinv - 1) // q, half
+
+
+@lru_cache(maxsize=32)
+def _binomials(e: int) -> tuple:
+    """The row C(e, i), i <= e, kept for the last 32 exponents e."""
+    return tuple(map(math.comb, repeat(e), range(e + 1)))
 
 
 def measure_value(a: int, level: int, regulator: int, p: int,
@@ -121,7 +136,7 @@ def measure_value(a: int, level: int, regulator: int, p: int,
     q = p**level
     if not 0 <= a < q:
         raise DomainError("residue %r out of range for level %d" % (a, level))
-    rinv, slope, _ = _disc_constants(regulator, q, 1)
+    rinv, slope, _ = _disc_constants(regulator, q)
     num = 2 * (regulator * (rinv * a // q) - slope * a) + regulator - 1
     return PadicNumber.from_rational(num, 2, p, n)
 
@@ -206,7 +221,8 @@ def _require_even_branch(branch: Branch) -> None:
 
 def zeta_interp(k: int, branch: Branch,
                 precision: int | None = None) -> PadicNumber:
-    """Exact interpolation value -(1 - p^(k-1)) B_k / k at s = 1 - k.
+    """Exact interpolation value -(1 - p^(k-1)) B_k / k at s = 1 - k,
+    embedded from its integer numerator and denominator.
 
     Only branch-matched k (k = kappa0 mod p-1; mod 2 when p = 2) hit
     ordinary Bernoulli numbers; anything else is out of scope here.
@@ -221,8 +237,9 @@ def zeta_interp(k: int, branch: Branch,
         raise DomainError(
             "branch mismatch: k = %d is not %d mod %d"
             % (k, branch.kappa0, _torsion_order(p)))
-    value = -(1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
-    return PadicNumber.from_fraction(value, p, n)
+    b = bernoulli(k)
+    return PadicNumber.from_rational((p ** (k - 1) - 1) * b.numerator,
+                                     b.denominator * k, p, n)
 
 
 def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
@@ -247,7 +264,7 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
     w^(kappa0-1-e0), and one Horner row per progression sums them all.
     """
     q, order, size = p**level, _torsion_order(p), abs(regulator)
-    rinv, slope, half = _disc_constants(regulator, q, q)
+    rinv, slope, half = _disc_constants(regulator, q)
     e0, t = exponent % order, exponent // order
     if t < level:
         exps, lams = [exponent], [1]
@@ -273,8 +290,7 @@ def _class_unit_sum(p: int, kappa0: int, exponent: int, regulator: int,
             runs.append((p, p, q // p - 1, q - 1))
     top, rows = exps[-1], {}  # (n, step): the Horner row, degree top first
     # per sample, its shift in the row and L_j(t) C(e_j, i), i <= e_j
-    samples = [(top - e, list(map(mul, repeat(lam),
-                                  map(math.comb, repeat(e), range(e + 1)))))
+    samples = [(top - e, list(map(mul, repeat(lam), _binomials(e))))
                for e, lam in zip(exps, lams)]
     for _, step, count, _ in runs:
         n = count // size
@@ -389,17 +405,20 @@ def zeta_measure(s, branch: Branch, regulator: int | None = None,
                  precision: int | None = None) -> ZetaBranchEval:
     """Riemann-sum evaluation of the branch zeta function at s in Z_p.
 
-    The run step of _plan: the class sums mod p^level and one division by
-    the prefactor, whose quotient is known to p^(level - v_den).  The value
-    is cut at error_bound_exponent, that exponent or precision if lower,
-    so it carries no uncertified digit.
+    The run step of _plan, in ints: the class sums mod p^level times the
+    inverse mod p^level of the prefactor's unit, p^-v_den times that known
+    to p^(level - v_den).  The one PadicNumber is cut at
+    error_bound_exponent, that exponent or precision if lower, so it
+    carries no uncertified digit.
     """
     p, kappa0 = branch.prime, branch.kappa0
     r, exponent, prefactor, v_den, bound = _plan(s, branch, regulator, level,
                                                  precision)
-    integral = PadicNumber._make(
-        p, 0, _class_unit_sum(p, kappa0, exponent, r, level), level)
-    den = PadicNumber._make(p, 0, prefactor, level + v_den)
-    return ZetaBranchEval(p, kappa0, s, r, level,
-                          (integral / den).truncated_to(bound), bound,
-                          "measure")
+    unit, low = divmod(prefactor, p**v_den)
+    if low or not unit % p:
+        raise PadicError("prefactor %d is not of valuation v_den = %d"
+                         % (prefactor, v_den))
+    total = _class_unit_sum(p, kappa0, exponent, r, level)
+    value = PadicNumber._make(p, -v_den, total * pow(unit, -1, p**level),
+                              bound + v_den)
+    return ZetaBranchEval(p, kappa0, s, r, level, value, bound, "measure")

@@ -99,6 +99,15 @@ def test_t_of_rejects_non_units():
         t_of(4)
 
 
+def test_t_of_refuses_a_foreign_prime():
+    # a 5-adic 2 read with p = 7 gave t = 1, its coordinate at 5
+    alpha = PadicNumber.from_int(2, 5, 8)
+    with pytest.raises(DomainError,
+                       match="^alpha lives in a different Q_p: 5-adic, p = 7$"):
+        t_of(alpha, 7)
+    assert t_of(alpha, 5) == t_of(alpha) == 1
+
+
 def test_t_of_inverts_generator_powers():
     for p in (q for q in range(3, 100) if is_prime(q)):
         g = smallest_primitive_root(p)
@@ -275,6 +284,28 @@ def test_orbit_p5_examples():
     assert orbit(Branch(5, 0), mat)[1] == 1
     assert orbit(Branch(5, 2), mat)[1] == 2
     assert orbit(Branch(5, 1), mat)[1] == 4
+
+
+def test_orbit_lifts_the_generator_once(monkeypatch):
+    # fixed_generator is kept per (p, precision): one orbit at p = 13 makes
+    # one Teichmuller lift, not one per t, and a second orbit none
+    import padicosc.galois as galois_module
+    lifts = []
+
+    def counting(x, precision=None):
+        lifts.append(x)
+        return teichmuller(x, precision)
+
+    monkeypatch.setattr(galois_module, "teichmuller", counting)
+    fixed_generator.cache_clear()
+    mat = as_matrix("hamiltonian", 6, 13, 16)
+    first = orbit(Branch(13, 2), mat)
+    assert len(lifts) == 1
+    assert orbit(Branch(13, 4), mat)[1] == 3 and len(lifts) == 1
+    fixed_generator.cache_clear()
+    again = orbit(Branch(13, 2), mat)
+    assert again[1] == first[1] == 6
+    assert all(matrices_agree(a, b) for a, b in zip(again[0], first[0]))
 
 
 def test_orbit_rejects_zero_matrix():

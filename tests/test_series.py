@@ -135,7 +135,8 @@ def test_eval_single_basis_coefficient():
     assert vdp_eval(g, 7).agrees_with(PadicNumber.from_int(50, 5, 8))
     for ev, series in ((mahler_eval, f), (vdp_eval, g)):
         for point, message in (
-                (PadicNumber.from_int(7, 3, 8), "x lives in a different Q_p"),
+                (PadicNumber.from_int(7, 3, 8),
+                 "x lives in a different Q_p: 3-adic, p = 5"),
                 (2.0, "x must be an integer or a PadicNumber, got 2.0"),
                 (True, "x must be an integer or a PadicNumber, got True")):
             with pytest.raises(DomainError, match="^%s$" % message):
@@ -237,6 +238,17 @@ def test_mahler_uniqueness_roundtrip():
 def test_e0_always_one():
     assert vdp_basis_eval(0, 7, 5) == 1
     assert vdp_basis_eval(0, PadicNumber.from_int(3, 2, 4)) == 1
+
+
+def test_basis_eval_refuses_a_foreign_prime():
+    # a 3-adic 3 read with p = 5 gave e_3 = 1, its disc at 3; e_0 too
+    # checks the point
+    x = PadicNumber.from_int(3, 3, 8)
+    for n in (0, 3):
+        with pytest.raises(DomainError,
+                           match="^x lives in a different Q_p: 3-adic, p = 5$"):
+            vdp_basis_eval(n, x, 5)
+    assert vdp_basis_eval(3, x, 3) == vdp_basis_eval(3, x) == 1
 
 
 def test_disc_membership_p2():

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicosc.errors import DomainError, PoleError, PrecisionExhaustedError
+from padicosc.errors import (DomainError, PadicError, PoleError,
+                             PrecisionExhaustedError)
 from padicosc.padics import (
     PadicNumber,
     _teichmuller_residue,
@@ -19,7 +20,7 @@ from padicosc.padics import (
     vp,
 )
 from padicosc import zeta
-from padicosc.galois import Branch
+from padicosc.galois import Branch, fixed_generator
 from padicosc.zeta import (
     MazurMeasure,
     ZetaBranchEval,
@@ -638,7 +639,9 @@ def _unit_sum(p, kappa0, exponent, regulator, level, digits):
     residue mod p^digits, for any integer exponent.  The oracle of the
     class sums."""
     q, mod = p**level, p**digits
-    rinv, slope, half = _disc_constants(regulator, q, mod)
+    rinv, slope, _ = _disc_constants(regulator, q)
+    # (r - 1)/2 mod p^digits; when r is even, p and so p^digits are odd
+    half = (regulator - 1 + (0 if regulator % 2 else mod)) // 2
     stride, order = (4, 2) if p == 2 else (p, p - 1)
     e_om = (kappa0 - 1) % order
     acc = 0
@@ -798,6 +801,120 @@ def test_class_sums_at_a_large_exponent():
     assert got == _unit_sum(*args, 6)
 
 
+def _parent_run_step(p, total, prefactor, level, v_den, bound):
+    """The run step in PadicNumbers: the sum and the prefactor made at
+    their digits, one division and one cut.  The oracle of zeta_measure's
+    one modular inverse in ints."""
+    integral = PadicNumber._make(p, 0, total, level)
+    den = PadicNumber._make(p, 0, prefactor, level + v_den)
+    return (integral / den).truncated_to(bound)
+
+
+SECOND_REGULATOR = {2: -5, 3: 5, 5: -3, 7: 10, 11: 3, 13: -6}
+
+
+def test_run_step_matches_the_padic_division(monkeypatch):
+    # zeta_measure against the PadicNumber run step on the same plan and
+    # sum, over 2,400 seeded draws: int and p-adic s, two regulators, caps
+    # below level - v_den, and sums that are the kernel's, 0 mod p^level,
+    # or p^j times a unit
+    rng = random.Random(3100)
+    kernel = zeta._class_unit_sum
+    seen = {"padic s": 0, "second regulator": 0, "capped": 0, "deep": 0,
+            "marker": 0, "sum 0": 0, "sum p^j u": 0, "compared": 0}
+    for _ in range(2400):
+        p = rng.choice(sorted(DIFF_TOP))
+        branch = Branch(p, rng.randrange(0, 2 if p == 2 else p - 1, 2))
+        level = rng.randrange(2 if p == 2 else 1, DIFF_TOP[p] + 1)
+        regulator = rng.choice((None, SECOND_REGULATOR[p]))
+        precision = rng.choice((None, 1, 2, 3, 4, 6, 10, 20))
+        if rng.randrange(2):
+            s = rng.choice([s for s in range(-40, 41) if s != 1])
+        else:
+            v, n = rng.randrange(3), level + rng.randrange(4, 12)
+            s = PadicNumber._make(p, v, rng.randrange(1, p**n), n - v)
+        try:
+            r, exponent, prefactor, v_den, bound = zeta._plan(
+                s, branch, regulator, level, precision)
+        except (PoleError, PrecisionExhaustedError):
+            continue
+        kind = rng.choice(("kernel", "kernel", "sum 0", "sum p^j u"))
+        if kind == "kernel":
+            total = kernel(p, branch.kappa0, exponent, r, level)
+        elif kind == "sum 0":
+            total = 0
+        else:
+            total = p**rng.randrange(level) * rng.randrange(1, p**level)
+            total = total % p**level
+        want = _parent_run_step(p, total, prefactor, level, v_den, bound)
+        monkeypatch.setattr(zeta, "_class_unit_sum",
+                            lambda *args, total=total: total)
+        ev = zeta_measure(s, branch, regulator, level, precision)
+        assert (repr(ev.value), ev.value.known_to, ev.error_bound_exponent
+                ) == (repr(want), want.known_to, bound), (
+            s, branch, regulator, level, precision, total)
+        seen["compared"] += 1
+        seen["padic s"] += isinstance(s, PadicNumber)
+        seen["second regulator"] += regulator is not None
+        seen["capped"] += bound < level - v_den
+        seen["deep"] += v_den > 0
+        seen["marker"] += want.is_zero
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["compared"] >= 2000, seen
+    assert min(seen.values()) >= 200, seen
+
+
+def test_run_step_checks_the_prefactor_valuation(monkeypatch):
+    # w(2)^0 = 1 makes v_den = v(<2> - 1) + v(1 - s) = 1 at s = -1 on
+    # Branch(5, 0); a plan that claims 0 or 2 is refused by name, not by
+    # a bare ValueError from pow
+    plan = zeta._plan
+    for shift in (-1, 1):
+        def wrong(*args, shift=shift):
+            r, exponent, prefactor, v_den, bound = plan(*args)
+            return r, exponent, prefactor, v_den + shift, bound
+
+        monkeypatch.setattr(zeta, "_plan", wrong)
+        with pytest.raises(PadicError,
+                           match="is not of valuation v_den = %d$" % (1 + shift)):
+            zeta_measure(-1, Branch(5, 0), level=3, precision=10)
+
+
+def _fraction_interp(k, branch, precision):
+    """-(1 - p^(k-1)) B_k / k in Fractions, then embedded: the oracle of
+    zeta_interp's integer numerator and denominator."""
+    p = branch.prime
+    value = -(1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
+    return PadicNumber.from_fraction(value, p, precision)
+
+
+def test_interp_matches_the_fraction_formula():
+    # every branch-matched k <= 400 on every even branch of p <= 13, each
+    # at two seeded precisions, caps at or below 0 among them
+    rng = random.Random(3101)
+    compared = 0
+    for p in sorted(DIFF_TOP):
+        order = _torsion_order(p)
+        for kappa0 in range(0, max(p - 2, 0) + 1, 2):
+            branch = Branch(p, kappa0)
+            for k in range(kappa0 or order, 401, order):
+                for precision in rng.sample((None, -2, 0, 1, 3, 8, 20, 45), 2):
+                    got = zeta_interp(k, branch, precision)
+                    want = _fraction_interp(
+                        k, branch, 32 if precision is None else precision)
+                    assert (repr(got), got.known_to) == (
+                        repr(want), want.known_to), (k, branch, precision)
+                    compared += 1
+    assert compared >= 2000, compared
+
+
+def test_kernel_caches_are_bounded():
+    # every cache of the zeta path and the orbit has a finite size
+    for cache in (zeta._point_plan, zeta._disc_constants, zeta._binomials,
+                  fixed_generator):
+        assert 0 < cache.cache_info().maxsize <= 64, cache
+
+
 def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
     # the measure path must stay an independent oracle for zeta_interp
     def refuse(k):
@@ -810,7 +927,8 @@ def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
 
 
 def _clear_zeta_caches():
-    zeta._point_plan.cache_clear()
+    for cache in (zeta._point_plan, zeta._disc_constants, zeta._binomials):
+        cache.cache_clear()
 
 
 def _measure_outcome(s, branch, regulator, level, precision):
