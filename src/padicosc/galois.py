@@ -22,6 +22,7 @@ from .padics import (
     PadicNumber,
     _Frozen,
     _check_point,
+    _require_ints,
     is_primitive_root,
     is_prime,
     teichmuller,
@@ -40,14 +41,17 @@ def smallest_primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
-@lru_cache(maxsize=16, typed=True)
 def fixed_generator(p: int, precision: int | None = None) -> PadicNumber:
     """The distinguished primitive (p-1)-st root of unity: the
-    Teichmuller lift of the smallest primitive root mod p, kept for the
-    last 16 keys (p, precision), so an orbit lifts it once."""
+    Teichmuller lift of the smallest primitive root mod p."""
     n = DEFAULT_PRECISION if precision is None else precision
-    g = smallest_primitive_root(p)
-    return teichmuller(PadicNumber.from_int(g, p, n))
+    _require_ints(p=p, precision=n)
+    return _lifted_generator(p, n)
+
+
+@lru_cache(maxsize=16)
+def _lifted_generator(p: int, n: int) -> PadicNumber:
+    return teichmuller(PadicNumber.from_int(smallest_primitive_root(p), p, n))
 
 
 def t_of(alpha: PadicNumber | int, p: int | None = None) -> int:

@@ -26,9 +26,8 @@ prefactor's unit mod p^N, whose valuation is checked against v_den.
 
 Caches, each bounded, none holding a sum or a value: the point plan, the
 part that reads no level, for the last 4 keys (s, p, kappa0, r), so the
-levels of one sweep plan their point once; the disc constants for the
-last 64 keys (r, q); the binomial row C(e, i) for the last 32 sample
-exponents e.
+levels of one sweep plan their point once; the binomial row C(e, i)
+for the last 32 sample exponents e.
 """
 
 from __future__ import annotations
@@ -108,10 +107,8 @@ def _check_measure(level: int, regulator: int, p: int, **more) -> None:
         raise DomainError("level must be >= 0, got %d" % level)
 
 
-@lru_cache(maxsize=64)
 def _disc_constants(regulator: int, q: int) -> tuple:
-    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half,
-    kept for the last 64 keys (r, q)."""
+    """(R, slope, half) of the disc value r*floor(R a/q) - slope*a + half."""
     rinv = pow(regulator, -1, q)
     # half = (r - 1)/2 mod q; when r is even, p and so q are odd
     half = (regulator - 1 + (0 if regulator % 2 else q)) // 2
@@ -120,7 +117,7 @@ def _disc_constants(regulator: int, q: int) -> tuple:
 
 @lru_cache(maxsize=32)
 def _binomials(e: int) -> tuple:
-    """The row C(e, i), i <= e, kept for the last 32 exponents e."""
+    """The row C(e, i), i <= e."""
     return tuple(map(math.comb, repeat(e), range(e + 1)))
 
 

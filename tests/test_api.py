@@ -88,7 +88,8 @@ def test_entries_refuse_a_non_prime_within_an_alarm(call):
 
 # a float precision built float-unit numbers, <5-adic 3.0*5^0 + O(5^4.0)>,
 # where from_rational raised a bare TypeError; None is refused too, save
-# by fixed_generator, whose own default it is
+# by fixed_generator, whose own default it is; a list is checked before
+# it can reach a cache key, which would raise a bare TypeError
 PRECISION_ENTRIES = (
     lambda n: fixed_generator(5, n),
     lambda n: PadicNumber.one(5, n),
@@ -103,7 +104,7 @@ PRECISION_ENTRIES = (
 
 @pytest.mark.parametrize("call", range(len(PRECISION_ENTRIES)))
 def test_entries_refuse_a_non_int_precision(call):
-    for n in (4.0, 2.5, True, "4") + ((None,) if call else ()):
+    for n in (4.0, 2.5, True, "4", [4]) + ((None,) if call else ()):
         message = "^precision must be an integer, got %s$" % re.escape(repr(n))
         with pytest.raises(DomainError, match=message):
             PRECISION_ENTRIES[call](n)

@@ -78,6 +78,10 @@ def test_generator_has_exact_order():
 def test_generator_rejects_p2():
     with pytest.raises(DomainError):
         fixed_generator(2, 8)
+    # a float, bool or list prime is refused before it reaches the cache
+    for p in (5.0, True, [5]):
+        with pytest.raises(DomainError, match="^p must be an integer"):
+            fixed_generator(p, 8)
 
 
 # -- discrete log --------------------------------------------------------
@@ -287,8 +291,8 @@ def test_orbit_p5_examples():
 
 
 def test_orbit_lifts_the_generator_once(monkeypatch):
-    # fixed_generator is kept per (p, precision): one orbit at p = 13 makes
-    # one Teichmuller lift, not one per t, and a second orbit none
+    # the lifted generator is kept per (p, precision): one orbit at p = 13
+    # makes one Teichmuller lift, not one per t, and a second orbit none
     import padicosc.galois as galois_module
     lifts = []
 
@@ -297,12 +301,12 @@ def test_orbit_lifts_the_generator_once(monkeypatch):
         return teichmuller(x, precision)
 
     monkeypatch.setattr(galois_module, "teichmuller", counting)
-    fixed_generator.cache_clear()
+    galois_module._lifted_generator.cache_clear()
     mat = as_matrix("hamiltonian", 6, 13, 16)
     first = orbit(Branch(13, 2), mat)
     assert len(lifts) == 1
     assert orbit(Branch(13, 4), mat)[1] == 3 and len(lifts) == 1
-    fixed_generator.cache_clear()
+    galois_module._lifted_generator.cache_clear()
     again = orbit(Branch(13, 2), mat)
     assert again[1] == first[1] == 6
     assert all(matrices_agree(a, b) for a, b in zip(again[0], first[0]))

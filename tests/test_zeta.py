@@ -19,8 +19,8 @@ from padicosc.padics import (
     unit_power,
     vp,
 )
-from padicosc import zeta
-from padicosc.galois import Branch, fixed_generator
+from padicosc import galois, zeta
+from padicosc.galois import Branch
 from padicosc.zeta import (
     MazurMeasure,
     ZetaBranchEval,
@@ -910,8 +910,8 @@ def test_interp_matches_the_fraction_formula():
 
 def test_kernel_caches_are_bounded():
     # every cache of the zeta path and the orbit has a finite size
-    for cache in (zeta._point_plan, zeta._disc_constants, zeta._binomials,
-                  fixed_generator):
+    for cache in (zeta._point_plan, zeta._binomials,
+                  galois._lifted_generator):
         assert 0 < cache.cache_info().maxsize <= 64, cache
 
 
@@ -927,7 +927,7 @@ def test_zeta_measure_uses_no_bernoulli_numbers(monkeypatch):
 
 
 def _clear_zeta_caches():
-    for cache in (zeta._point_plan, zeta._disc_constants, zeta._binomials):
+    for cache in (zeta._point_plan, zeta._binomials):
         cache.cache_clear()
 
 
